@@ -111,13 +111,15 @@ void ablation_scheduler(bench::BenchContext& ctx) {
       {"qaoa24_p2", qc::qaoa_maxcut(24, qc::ring_graph(24), {0.8, 0.6},
                                     {0.4, 0.3})},
   };
+  const auto timed = [&](const qc::Circuit& c, dist::CommScheduler sched) {
+    dist::DistExecOptions o;
+    o.scheduler = sched;
+    o.restore_layout = false;
+    return dist::time_plan(dist::compile_distributed(c, 4, o), m, {}, net);
+  };
   for (const auto& [name, c] : workloads) {
-    const auto naive =
-        dist::plan_distribution(c, 4, dist::CommScheduler::Naive);
-    const auto remap =
-        dist::plan_distribution(c, 4, dist::CommScheduler::Remap);
-    const auto tn = dist::time_plan(naive, m, {}, net);
-    const auto tr = dist::time_plan(remap, m, {}, net);
+    const auto tn = timed(c, dist::CommScheduler::Naive);
+    const auto tr = timed(c, dist::CommScheduler::Remap);
     t.add_row({name, tn.exchange_bytes * 1e-9, tr.exchange_bytes * 1e-9,
                tn.total_seconds, tr.total_seconds});
     ctx.model("sched." + name + ".naive_gb", tn.exchange_bytes * 1e-9, "GB",

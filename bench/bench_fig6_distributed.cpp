@@ -35,16 +35,19 @@ void weak_scaling(bench::BenchContext& ctx, const dist::InterconnectSpec& net,
     }
     for (auto sched :
          {dist::CommScheduler::Naive, dist::CommScheduler::Remap}) {
-      const auto plan = dist::plan_distribution(c, d, sched);
+      dist::DistExecOptions o;
+      o.scheduler = sched;
+      o.restore_layout = false;
+      const auto plan = dist::compile_distributed(c, d, o);
       const auto dt = dist::time_plan(plan, m, {}, net);
-      t.add_row({static_cast<std::int64_t>(plan.num_nodes()),
+      t.add_row({static_cast<std::int64_t>(plan.num_ranks()),
                  static_cast<std::int64_t>(n),
                  std::string(dist::scheduler_name(sched)),
                  static_cast<std::int64_t>(dt.num_exchanges),
                  dt.exchange_bytes * 1e-9, dt.compute_seconds,
                  dt.comm_seconds, dt.total_seconds,
                  dt.comm_seconds / dt.total_seconds});
-      ctx.model(bench::sub(net.name + ".nodes", plan.num_nodes()) + "." +
+      ctx.model(bench::sub(net.name + ".nodes", plan.num_ranks()) + "." +
                     dist::scheduler_name(sched) + ".total_s",
                 dt.total_seconds, "s", m.name);
     }
@@ -64,7 +67,10 @@ SVSIM_BENCH(fig6_distributed, "Fig. 6", "distributed weak scaling (model)") {
     const auto m = machine::MachineSpec::a64fx();
     const auto net = dist::InterconnectSpec::tofu_d();
     const qc::Circuit c = qc::qft(22);
-    const auto plan = dist::plan_distribution(c, 4, dist::CommScheduler::Naive);
+    dist::DistExecOptions o;
+    o.scheduler = dist::CommScheduler::Naive;
+    o.restore_layout = false;
+    const auto plan = dist::compile_distributed(c, 4, o);
     Table t("Straggler propagation (16 nodes, one slow node, QFT(22))",
             {"slowdown", "makespan_ms", "vs_clean"});
     const double clean = dist::event_driven_makespan(plan, m, {}, net);

@@ -68,10 +68,12 @@ int main(int argc, char** argv) {
   multi.add_row({std::int64_t{1}, static_cast<std::int64_t>(n),
                  std::int64_t{0}, single, 0.0, single, 1.0});
   for (unsigned d = 2; d <= 8 && n - d >= 20; d += 2) {
-    const auto plan =
-        dist::plan_distribution(circuit, d, dist::CommScheduler::Remap);
+    dist::DistExecOptions o;
+    o.scheduler = dist::CommScheduler::Remap;
+    o.restore_layout = false;
+    const auto plan = dist::compile_distributed(circuit, d, o);
     const auto t = dist::time_plan(plan, a64fx, {}, tofu);
-    multi.add_row({static_cast<std::int64_t>(plan.num_nodes()),
+    multi.add_row({static_cast<std::int64_t>(plan.num_ranks()),
                    static_cast<std::int64_t>(n - d),
                    static_cast<std::int64_t>(t.num_exchanges),
                    t.compute_seconds, t.comm_seconds, t.total_seconds,

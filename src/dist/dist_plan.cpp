@@ -45,9 +45,9 @@ class NextUse {
   std::vector<std::size_t> cursor_;
 };
 
-/// The qubit->slot permutation both distribution compilers maintain, with
-/// the Belady eviction rule (evict the local occupant whose next use is
-/// farthest in the future, never an operand of the gate being planned).
+/// The qubit->slot permutation the compiler maintains, with the Belady
+/// eviction rule (evict the local occupant whose next use is farthest in
+/// the future, never an operand of the gate being planned).
 class SlotMap {
  public:
   SlotMap(unsigned num_qubits, unsigned local_qubits)
@@ -89,7 +89,7 @@ class SlotMap {
       }
     }
     require(best_slot != std::numeric_limits<unsigned>::max(),
-            "dist planner: no evictable local slot");
+            "compile_distributed: no evictable local slot");
     return best_slot;
   }
 
@@ -121,195 +121,24 @@ double naive_exchange_bytes(const Gate& g, std::size_t node_targets,
   return per_exchange * static_cast<double>(node_targets);
 }
 
-class Planner {
+/// Compiles a circuit into the shared ExecutionPlan IR: remap decisions
+/// become Exchange phases with slot-swap hops, and exchange-free windows go
+/// to the sweep grouper.
+class DistCompiler {
  public:
-  Planner(const Circuit& circuit, unsigned node_qubits,
-          CommScheduler scheduler, unsigned element_bytes)
+  DistCompiler(const Circuit& circuit, unsigned node_qubits,
+               const DistExecOptions& options)
       : circuit_(circuit),
-        scheduler_(scheduler),
+        options_(options),
         n_(circuit.num_qubits()),
         d_(node_qubits),
         ln_(n_ - node_qubits),
         partition_bytes_(static_cast<double>(pow2(ln_)) * 2.0 *
-                         element_bytes),
+                         options.element_bytes),
         next_use_(circuit),
         map_(n_, ln_) {}
 
-  DistPlan run() {
-    DistPlan plan;
-    plan.num_qubits = n_;
-    plan.node_qubits = d_;
-    plan.local_qubits = ln_;
-    for (std::size_t i = 0; i < circuit_.size(); ++i)
-      plan_gate(i, circuit_.gate(i), plan);
-    plan.final_slot_of = map_.slots();
-    for (const auto& s : plan.steps) {
-      if (s.exchange_bytes > 0.0) {
-        ++plan.num_exchanges;
-        plan.total_exchange_bytes += s.exchange_bytes;
-      }
-    }
-    return plan;
-  }
-
- private:
-  /// Picks a scratch local slot not in `used` (highest local slots first so
-  /// proxies rarely collide with real operands).
-  unsigned scratch_slot(std::vector<unsigned>& used) const {
-    for (unsigned s = ln_; s-- > 0;) {
-      if (std::find(used.begin(), used.end(), s) == used.end()) {
-        used.push_back(s);
-        return s;
-      }
-    }
-    throw Error("dist planner: no free local slot for proxy");
-  }
-
-  void add_local(DistPlan& plan, Gate g, double bytes, std::string note,
-                 int rank_bit = -1) {
-    DistStep step;
-    step.local_gate = std::move(g);
-    step.exchange_bytes = bytes;
-    step.exchange_rank_bit = bytes > 0.0 ? rank_bit : -1;
-    step.note = std::move(note);
-    plan.steps.push_back(std::move(step));
-  }
-
-  void add_comm_only(DistPlan& plan, double bytes, std::string note,
-                     int rank_bit = -1) {
-    DistStep step;
-    step.exchange_bytes = bytes;
-    step.exchange_rank_bit = rank_bit;
-    step.note = std::move(note);
-    plan.steps.push_back(std::move(step));
-  }
-
-  /// Performs a remap swap between the node slot of logical qubit `q` and a
-  /// local slot chosen by Belady eviction. Records the half-exchange.
-  void remap_in(std::size_t gate_index, unsigned q, DistPlan& plan) {
-    const Gate& current = circuit_.gate(gate_index);
-    const unsigned best_slot =
-        map_.choose_eviction(current, gate_index, next_use_);
-    const unsigned node_slot = map_.slot_of(q);
-    map_.swap_slots(best_slot, node_slot);
-    add_comm_only(plan, partition_bytes_ / 2.0,
-                  "remap q" + std::to_string(q) + " into slot " +
-                      std::to_string(best_slot),
-                  static_cast<int>(node_slot - ln_));
-  }
-
-  void plan_gate(std::size_t i, const Gate& g, DistPlan& plan) {
-    if (g.kind == GateKind::BARRIER || g.kind == GateKind::I) return;
-    require(g.is_unitary_op(),
-            "dist planner: circuit must be unitary (no measure/reset)");
-
-    // Diagonal gates never communicate.
-    if (g.is_diagonal()) {
-      plan_diagonal(g, plan);
-      return;
-    }
-
-    // Split operands: node-slot controls are free; node-slot targets force
-    // an exchange (naive) or a remap.
-    const auto controls = g.controls();
-    const auto targets = g.targets();
-    std::vector<unsigned> node_targets;
-    for (unsigned q : targets)
-      if (!map_.is_local(q)) node_targets.push_back(q);
-
-    if (scheduler_ == CommScheduler::Remap && !node_targets.empty()) {
-      for (unsigned q : node_targets) remap_in(i, q, plan);
-      node_targets.clear();
-    }
-
-    unsigned local_controls = 0;
-    for (unsigned q : controls)
-      if (map_.is_local(q)) ++local_controls;
-
-    // Build the local proxy gate: slot-mapped operands, node-slot operands
-    // replaced by scratch local slots (post-exchange the work is local).
-    Gate proxy = g;
-    std::vector<unsigned> used;
-    for (unsigned q : g.qubits)
-      if (map_.is_local(q)) used.push_back(map_.slot_of(q));
-    for (auto& q : proxy.qubits) {
-      const unsigned slot = map_.slot_of(q);
-      q = map_.is_local_slot(slot) ? slot : scratch_slot(used);
-    }
-
-    double bytes = 0.0;
-    int rank_bit = -1;
-    std::string note = "local";
-    if (!node_targets.empty()) {
-      bytes = naive_exchange_bytes(g, node_targets.size(), targets.size(),
-                                   local_controls, partition_bytes_);
-      rank_bit =
-          static_cast<int>(map_.slot_of(node_targets.front()) - ln_);
-      note = "exchange for " + std::string(g.name());
-    } else {
-      // All remaining node-slot operands are controls: free (conditional
-      // local execution on half the nodes). Drop them from the proxy cost?
-      // Keep the reduced arity: the makespan node still runs the target op.
-      note = controls.empty() ? "local" : "node-control local";
-    }
-    add_local(plan, std::move(proxy), bytes, std::move(note), rank_bit);
-  }
-
-  void plan_diagonal(const Gate& g, DistPlan& plan) {
-    std::vector<unsigned> local_slots;
-    for (unsigned q : g.qubits)
-      if (map_.is_local(q)) local_slots.push_back(map_.slot_of(q));
-
-    if (local_slots.size() == g.qubits.size()) {
-      Gate proxy = g;
-      for (auto& q : proxy.qubits) q = map_.slot_of(q);
-      add_local(plan, std::move(proxy), 0.0, "local diagonal");
-      return;
-    }
-    if (local_slots.empty()) {
-      // Pure rank-dependent phase: each node scales its whole partition.
-      add_local(plan, Gate::rz(0, 0.1), 0.0, "rank-phase diagonal");
-      return;
-    }
-    // Mixed: nodes whose rank bits satisfy the node operands apply the
-    // residual diagonal on the local slots.
-    std::vector<qc::cplx> entries(pow2(static_cast<unsigned>(
-                                      local_slots.size())),
-                                  qc::cplx{1.0, 0.0});
-    entries.back() = qc::cplx{0.0, 1.0};  // cost proxy values
-    add_local(plan, Gate::diag(local_slots, std::move(entries)), 0.0,
-              "conditional local diagonal");
-  }
-
-  const Circuit& circuit_;
-  CommScheduler scheduler_;
-  unsigned n_, d_, ln_;
-  double partition_bytes_;
-  NextUse next_use_;
-  SlotMap map_;
-};
-
-/// Compiles a circuit into the shared ExecutionPlan IR: the same remap
-/// decisions as Planner, but expressed as Exchange phases with slot-swap
-/// hops and exchange-free windows handed to the sweep grouper.
-class DistCompiler {
- public:
-  DistCompiler(const Circuit& circuit, const DistExecOptions& options)
-      : circuit_(circuit),
-        options_(options),
-        n_(circuit.num_qubits()),
-        d_(0),
-        ln_(0),
-        next_use_(circuit),
-        map_(circuit.num_qubits(), 0) {}
-
-  sv::ExecutionPlan run(unsigned node_qubits, unsigned num_clbits) {
-    d_ = node_qubits;
-    ln_ = n_ - node_qubits;
-    partition_bytes_ = static_cast<double>(pow2(ln_)) * 2.0 *
-                       options_.element_bytes;
-    map_ = SlotMap(n_, ln_);
-
+  sv::ExecutionPlan run(unsigned num_clbits) {
     plan_.num_qubits = n_;
     plan_.node_qubits = d_;
     plan_.local_qubits = ln_;
@@ -466,7 +295,7 @@ class DistCompiler {
   const Circuit& circuit_;
   const DistExecOptions& options_;
   unsigned n_, d_, ln_;
-  double partition_bytes_ = 0.0;
+  double partition_bytes_;
   NextUse next_use_;
   SlotMap map_;
   std::vector<Gate> window_;
@@ -474,16 +303,6 @@ class DistCompiler {
 };
 
 }  // namespace
-
-DistPlan plan_distribution(const Circuit& circuit, unsigned node_qubits,
-                           CommScheduler scheduler, unsigned element_bytes) {
-  require(node_qubits < circuit.num_qubits(),
-          "plan_distribution: node qubits must be fewer than total qubits");
-  require(circuit.num_qubits() - node_qubits >= 2,
-          "plan_distribution: need at least 2 local qubits");
-  Planner planner(circuit, node_qubits, scheduler, element_bytes);
-  return planner.run();
-}
 
 sv::ExecutionPlan compile_distributed(const Circuit& circuit,
                                       unsigned node_qubits,
@@ -502,45 +321,8 @@ sv::ExecutionPlan compile_distributed(const Circuit& circuit,
     source = &fused_storage;
   }
 
-  DistCompiler compiler(*source, options);
-  return compiler.run(node_qubits, circuit.num_clbits());
-}
-
-sv::ExecutionPlan to_execution_plan(const DistPlan& plan) {
-  sv::ExecutionPlan ep;
-  ep.num_qubits = plan.num_qubits;
-  ep.node_qubits = plan.node_qubits;
-  ep.local_qubits = plan.local_qubits;
-  ep.final_slot_of = plan.final_slot_of;
-
-  for (const auto& step : plan.steps) {
-    if (step.exchange_bytes > 0.0) {
-      // Adjacent comm-only steps (e.g. two remaps feeding one gate) merge
-      // into a single Exchange phase so windows stay maximal.
-      if (ep.phases.empty() ||
-          ep.phases.back().kind != sv::PhaseKind::Exchange) {
-        sv::PlanPhase ex;
-        ex.kind = sv::PhaseKind::Exchange;
-        ex.moves_data = false;
-        ex.note = step.note;
-        ep.phases.push_back(std::move(ex));
-      }
-      sv::ExchangeHop hop;
-      hop.rank_bit = step.exchange_rank_bit;
-      hop.bytes = step.exchange_bytes;
-      ep.phases.back().hops.push_back(hop);
-    }
-    if (step.local_gate.has_value()) {
-      sv::PlanPhase phase;
-      phase.kind = sv::PhaseKind::DenseGate;
-      phase.gates.push_back(*step.local_gate);
-      phase.note = step.note;
-      ep.phases.push_back(std::move(phase));
-    }
-  }
-
-  ep.finalize();
-  return ep;
+  DistCompiler compiler(*source, node_qubits, options);
+  return compiler.run(circuit.num_clbits());
 }
 
 }  // namespace svsim::dist

@@ -1,12 +1,13 @@
-// Distribution planner for multi-node state-vector simulation.
+// Distributed plan compiler for multi-node state-vector simulation.
 //
-// With 2^d nodes, qubit *slots* [n-d, n) live in the node rank ("node
-// slots") and slots [0, n-d) index the local partition. The planner walks a
-// circuit and decides, per gate, what each node computes locally and how
-// much data partner nodes must exchange:
+// With 2^d ranks, qubit *slots* [n-d, n) live in the rank index ("node
+// slots") and slots [0, n-d) index the local partition. compile_distributed
+// walks a circuit and lowers it into the shared ExecutionPlan IR
+// (sv/plan.hpp), placing an Exchange phase wherever partner ranks must
+// trade amplitudes:
 //
-//  * diagonal gates never communicate (each node knows its rank bits);
-//  * a control on a node slot is free (half the nodes apply the target op);
+//  * diagonal gates never communicate (each rank knows its rank bits);
+//  * a control on a node slot is free (half the ranks apply the target op);
 //  * a non-diagonal target on a node slot costs a pairwise exchange of the
 //    local partition (half of it when a local control restricts the update,
 //    or for a local<->node SWAP).
@@ -16,13 +17,10 @@
 // (one half-exchange) and keeps a qubit->slot permutation, evicting the
 // local qubit whose next use is farthest in the future (Belady). For
 // QFT-like circuits that hammer the same high qubits this collapses the
-// exchange count — the distributed-scaling experiment (Fig. 6) quantifies it.
+// exchange count — the distributed-scaling experiment (Fig. 6) quantifies
+// it. What each rank computes between exchanges is priced by
+// perf::cost_plan and timed by dist::time_plan / event_driven_makespan.
 #pragma once
-
-#include <cstdint>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "qc/circuit.hpp"
 #include "sv/plan.hpp"
@@ -32,39 +30,6 @@ namespace svsim::dist {
 enum class CommScheduler { Naive, Remap };
 
 const char* scheduler_name(CommScheduler s);
-
-/// One planned step: an optional local cost-proxy gate (operands remapped
-/// into local-slot space, i.e. qubit indices < n-d) and the bytes each node
-/// exchanges with its partner before executing it.
-struct DistStep {
-  std::optional<qc::Gate> local_gate;
-  double exchange_bytes = 0.0;   ///< per node, one direction
-  /// Rank bit whose flip identifies the exchange partner (-1 = no exchange).
-  int exchange_rank_bit = -1;
-  std::string note;              ///< why the exchange happened
-};
-
-struct DistPlan {
-  unsigned num_qubits = 0;       ///< total (global) register width
-  unsigned node_qubits = 0;      ///< d: log2(node count)
-  unsigned local_qubits = 0;     ///< n - d
-  std::vector<DistStep> steps;
-  std::size_t num_exchanges = 0;
-  double total_exchange_bytes = 0.0;  ///< per node, summed over steps
-  /// slot_of[logical qubit] after the plan (identity unless Remap moved it).
-  std::vector<unsigned> final_slot_of;
-
-  std::uint64_t num_nodes() const noexcept {
-    return std::uint64_t{1} << node_qubits;
-  }
-};
-
-/// Plans the distribution of `circuit` over 2^node_qubits nodes.
-/// `element_bytes` is the scalar precision (8 = double).
-/// Requires node_qubits < circuit.num_qubits() and a measure-free circuit.
-DistPlan plan_distribution(const qc::Circuit& circuit, unsigned node_qubits,
-                           CommScheduler scheduler,
-                           unsigned element_bytes = 8);
 
 struct DistExecOptions {
   CommScheduler scheduler = CommScheduler::Remap;
@@ -81,19 +46,13 @@ struct DistExecOptions {
 };
 
 /// Compiles `circuit` into the shared ExecutionPlan IR for 2^node_qubits
-/// ranks: fusion -> Belady-style exchange placement (the same remapper
-/// plan_distribution uses) -> sweep grouping per exchange window. Gates in
-/// the result are in slot space; with the Remap scheduler, Exchange phases
-/// carry the data-moving slot swaps, with Naive they are cost-only markers.
-/// MEASURE/RESET compile into MeasureFlush phases behind a layout restore.
+/// ranks: fusion -> Belady-style exchange placement -> sweep grouping per
+/// exchange window. Gates in the result are in slot space; with the Remap
+/// scheduler, Exchange phases carry the data-moving slot swaps, with Naive
+/// they are cost-only markers. MEASURE/RESET compile into MeasureFlush
+/// phases behind a layout restore. Requires at least 2 local qubits.
 sv::ExecutionPlan compile_distributed(const qc::Circuit& circuit,
                                       unsigned node_qubits,
                                       const DistExecOptions& options = {});
-
-/// Adapts a legacy per-gate DistPlan to the shared IR: each step becomes a
-/// cost-only Exchange phase (adjacent ones coalesced) and/or a DenseGate
-/// phase. For timing models only — the result carries the DistPlan's final
-/// layout but no data-moving hops, so it is not amplitude-executable.
-sv::ExecutionPlan to_execution_plan(const DistPlan& plan);
 
 }  // namespace svsim::dist

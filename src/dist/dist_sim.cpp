@@ -67,11 +67,6 @@ DistTiming time_plan(const sv::ExecutionPlan& plan, const MachineSpec& m,
   return t;
 }
 
-DistTiming time_plan(const DistPlan& plan, const MachineSpec& m,
-                     const ExecConfig& config, const InterconnectSpec& net) {
-  return time_plan(to_execution_plan(plan), m, config, net);
-}
-
 double event_driven_makespan(const sv::ExecutionPlan& plan,
                              const MachineSpec& m, const ExecConfig& config,
                              const InterconnectSpec& net,
@@ -130,14 +125,6 @@ double event_driven_makespan(const sv::ExecutionPlan& plan,
     }
   }
   return *std::max_element(clock.begin(), clock.end());
-}
-
-double event_driven_makespan(const DistPlan& plan, const MachineSpec& m,
-                             const ExecConfig& config,
-                             const InterconnectSpec& net,
-                             const StragglerConfig& straggler) {
-  return event_driven_makespan(to_execution_plan(plan), m, config, net,
-                               straggler);
 }
 
 }  // namespace svsim::dist

@@ -10,10 +10,9 @@
 // per node and synchronizes partner pairs at each hop (rendezvous
 // semantics), which is what lets a straggling node's delay propagate
 // through the exchange pattern — the effect large-machine studies care
-// about and a mean-field BSP sum hides.
-//
-// Legacy DistPlan overloads adapt through dist::to_execution_plan; there is
-// no separate per-step dispatch loop anymore.
+// about and a mean-field BSP sum hides. Plans come from
+// dist::compile_distributed (dist/dist_plan.hpp), the one distributed
+// compiler; model-only studies compile with restore_layout = false.
 #pragma once
 
 #include <cstdint>
@@ -45,11 +44,6 @@ DistTiming time_plan(const sv::ExecutionPlan& plan,
                      const InterconnectSpec& net,
                      const ExecutionContext& ctx = ExecutionContext::global());
 
-/// Legacy per-gate plan, adapted through to_execution_plan.
-DistTiming time_plan(const DistPlan& plan, const machine::MachineSpec& m,
-                     const machine::ExecConfig& config,
-                     const InterconnectSpec& net);
-
 struct StragglerConfig {
   /// Node whose compute time is scaled (UINT64_MAX = none).
   std::uint64_t node = ~std::uint64_t{0};
@@ -77,12 +71,5 @@ double event_driven_makespan(const sv::ExecutionPlan& plan,
                              const InterconnectSpec& net,
                              const StragglerConfig& straggler = {},
                              TimelineBuilder* timeline = nullptr);
-
-/// Legacy per-gate plan, adapted through to_execution_plan.
-double event_driven_makespan(const DistPlan& plan,
-                             const machine::MachineSpec& m,
-                             const machine::ExecConfig& config,
-                             const InterconnectSpec& net,
-                             const StragglerConfig& straggler = {});
 
 }  // namespace svsim::dist

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -87,23 +88,37 @@ PerfReport simulate_circuit(const qc::Circuit& circuit, const MachineSpec& m,
 
 namespace {
 
-/// Slot-space gates may keep operands on node slots (free controls,
-/// diagonals): each rank still runs the kernel over its own partition, so
-/// cost it with node-slot operands replaced by scratch local slots.
+/// What one rank runs for a slot-space gate that keeps operands on node
+/// slots (free controls, diagonals), as a gate on its own partition:
+///  * a diagonal with every operand on node slots is a phase applied to the
+///    whole partition (on the ranks whose bits match);
+///  * a diagonal with some local operands is a diagonal on only those
+///    local slots;
+///  * any other gate keeps its arity, node-slot operands replaced by
+///    scratch local slots.
 qc::Gate localized_proxy(const qc::Gate& g, unsigned local_qubits) {
-  bool local = true;
-  for (unsigned q : g.qubits) local = local && q < local_qubits;
-  if (local) return g;
+  const auto is_local = [local_qubits](unsigned q) { return q < local_qubits; };
+  if (std::all_of(g.qubits.begin(), g.qubits.end(), is_local)) return g;
+
+  std::vector<unsigned> local_slots;
+  std::copy_if(g.qubits.begin(), g.qubits.end(),
+               std::back_inserter(local_slots), is_local);
+
+  if (g.is_diagonal() && g.kind != qc::GateKind::I) {
+    if (local_slots.empty()) return qc::Gate::rz(0, 0.1);
+    std::vector<qc::cplx> entries(
+        pow2(static_cast<unsigned>(local_slots.size())), qc::cplx{1.0, 0.0});
+    entries.back() = qc::cplx{0.0, 1.0};  // cost proxy values
+    return qc::Gate::diag(std::move(local_slots), std::move(entries));
+  }
 
   qc::Gate proxy = g;
-  std::vector<unsigned> used;
-  for (unsigned q : g.qubits)
-    if (q < local_qubits) used.push_back(q);
   for (auto& q : proxy.qubits) {
     if (q < local_qubits) continue;
     for (unsigned s = local_qubits; s-- > 0;) {
-      if (std::find(used.begin(), used.end(), s) == used.end()) {
-        used.push_back(s);
+      if (std::find(local_slots.begin(), local_slots.end(), s) ==
+          local_slots.end()) {
+        local_slots.push_back(s);
         q = s;
         break;
       }

@@ -115,8 +115,10 @@ struct PlanCost {
 };
 
 /// Costs every phase of `plan` on machine `m` under `config`. Gates with
-/// operands on node slots (free controls, diagonals) are priced via a
-/// localized proxy on the rank partition, matching what each rank executes.
+/// operands on node slots (free controls, diagonals) are priced as the gate
+/// the busiest rank runs on its partition: a whole-partition phase for a
+/// diagonal with only node-slot operands, a diagonal on the local slots for
+/// a mixed one, and the gate on scratch local slots otherwise.
 /// Publishes the `perf.plan_cost_evals` counter and its model span through
 /// `ctx` (default: the process-wide singletons).
 PlanCost cost_plan(const sv::ExecutionPlan& plan, const machine::MachineSpec& m,

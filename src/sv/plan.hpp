@@ -14,9 +14,10 @@
 //   MeasureFlush — MEASURE/RESET gates, which need the Simulator's RNG and
 //                  must observe the identity qubit->slot layout.
 //
-// The compilers are `compile_plan` (single node: fusion -> sweep grouping;
-// zero Exchange phases) and `dist::compile_distributed` (fusion ->
-// Belady-style exchange placement -> sweep grouping per exchange window).
+// Two compilers produce it: `compile_plan` for one node (fusion -> sweep
+// grouping; zero Exchange phases) and `dist::compile_distributed`, the
+// only distributed compiler (fusion -> naive or Belady-remap exchange
+// placement -> sweep grouping per exchange window).
 // Executors — sv::run_plan for amplitudes, dist::time_plan /
 // event_driven_makespan for modeled time, perf::cost_plan for first
 // principles — all walk this one IR; none keeps a private dispatch loop.
@@ -58,9 +59,9 @@ const char* phase_kind_name(PhaseKind kind);
 
 /// One pairwise partner exchange inside an Exchange phase. For a data-moving
 /// remap, (local_slot, node_slot) is the slot swap each rank performs with
-/// the partner across `rank_bit`; for cost-only hops (naive scheduler,
-/// legacy DistPlan adapters) the slots are not meaningful and the executor
-/// does not touch amplitudes — see PlanPhase::moves_data.
+/// the partner across `rank_bit`; for cost-only hops (naive scheduler) the
+/// slots are not meaningful and the executor does not touch amplitudes —
+/// see PlanPhase::moves_data.
 struct ExchangeHop {
   unsigned local_slot = 0;  ///< destination slot, < local_qubits
   unsigned node_slot = 0;   ///< source slot, >= local_qubits

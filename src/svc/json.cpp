@@ -1,6 +1,7 @@
 #include "svc/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -31,6 +32,17 @@ double Value::as_number(const std::string& where) const {
   return number;
 }
 
+std::uint64_t Value::as_count(const std::string& where,
+                              std::uint64_t max) const {
+  const double v = as_number(where);
+  constexpr double kTwoPow64 = 18446744073709551616.0;  // first past uint64
+  require(std::isfinite(v) && v >= 0.0 && v < kTwoPow64 &&
+              std::floor(v) == v && static_cast<std::uint64_t>(v) <= max,
+          "json: " + where + ": expected an integer in [0, " +
+              std::to_string(max) + "]");
+  return static_cast<std::uint64_t>(v);
+}
+
 const std::string& Value::as_string(const std::string& where) const {
   require(kind == Kind::String, "json: " + where + ": expected a string");
   return string;
@@ -44,6 +56,13 @@ bool Value::get_bool(const std::string& key, bool fallback) const {
 double Value::get_number(const std::string& key, double fallback) const {
   const Value* v = find(key);
   return v == nullptr ? fallback : v->as_number(key);
+}
+
+std::uint64_t Value::get_count(const std::string& key,
+                               std::uint64_t fallback,
+                               std::uint64_t max) const {
+  const Value* v = find(key);
+  return v == nullptr ? fallback : v->as_count(key, max);
 }
 
 std::string Value::get_string(const std::string& key,

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,11 +44,17 @@ struct Value {
   const Value& at(const std::string& key, const std::string& where) const;
   bool as_bool(const std::string& where) const;
   double as_number(const std::string& where) const;
+  /// The number as an integer in [0, max]. Throws Error, before any cast,
+  /// when it is non-finite, fractional, negative or above `max` — job
+  /// fields land in unsigned types where a wrapped value is undefined.
+  std::uint64_t as_count(const std::string& where, std::uint64_t max) const;
   const std::string& as_string(const std::string& where) const;
 
   // Optional-with-default member reads for the job options block.
   bool get_bool(const std::string& key, bool fallback) const;
   double get_number(const std::string& key, double fallback) const;
+  std::uint64_t get_count(const std::string& key, std::uint64_t fallback,
+                          std::uint64_t max) const;
   std::string get_string(const std::string& key,
                          const std::string& fallback) const;
 };

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdio>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <ostream>
@@ -369,19 +370,26 @@ sv::NoiseModel parse_noise(const json::Value& v) {
   return noise;
 }
 
+/// Widest register a job may name: an amplitude index is a uint64.
+constexpr std::uint64_t kMaxJobQubits = 64;
+constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+constexpr std::uint64_t kMaxUint64 = std::numeric_limits<std::uint64_t>::max();
+
 qc::Circuit parse_circuit(const json::Value& job) {
   if (const json::Value* q = job.find("qasm"))
     return qc::parse_qasm(q->as_string("qasm"));
   if (const json::Value* q = job.find("qft"))
-    return qc::qft(static_cast<unsigned>(q->as_number("qft")));
+    return qc::qft(static_cast<unsigned>(q->as_count("qft", kMaxJobQubits)));
   if (const json::Value* q = job.find("qv")) {
     require(q->is_array() && q->array.size() >= 2,
             "qv must be [qubits, depth] or [qubits, depth, seed]");
-    const auto nq = static_cast<unsigned>(q->array[0].as_number("qv[0]"));
-    const auto d = static_cast<unsigned>(q->array[1].as_number("qv[1]"));
-    const auto seed =
+    const auto nq =
+        static_cast<unsigned>(q->array[0].as_count("qv[0]", kMaxJobQubits));
+    const auto d =
+        static_cast<unsigned>(q->array[1].as_count("qv[1]", kMaxUnsigned));
+    const std::uint64_t seed =
         q->array.size() > 2
-            ? static_cast<std::uint64_t>(q->array[2].as_number("qv[2]"))
+            ? q->array[2].as_count("qv[2]", kMaxUint64)
             : 1234;
     return qc::random_quantum_volume(nq, d, seed);
   }
@@ -402,20 +410,20 @@ JobRequest parse_job_line(const std::string& line) {
   JobRequest req;
   req.id = job.get_string("id", "");
   req.circuit = parse_circuit(job);
-  const double shots = job.get_number("shots", 1024.0);
-  require(shots >= 1.0, "shots must be >= 1");
-  req.shots = static_cast<std::size_t>(shots);
+  req.shots = static_cast<std::size_t>(job.get_count(
+      "shots", 1024, std::numeric_limits<std::size_t>::max()));
+  require(req.shots >= 1, "shots must be >= 1");
   if (const json::Value* o = job.find("options")) {
     require(o->is_object(), "\"options\" must be an object");
     req.fusion = o->get_bool("fusion", false);
     req.fusion_width =
-        static_cast<unsigned>(o->get_number("fusion_width", 3));
+        static_cast<unsigned>(o->get_count("fusion_width", 3, kMaxUnsigned));
     req.blocking = o->get_bool("blocked", false);
     req.block_qubits =
-        static_cast<unsigned>(o->get_number("block_qubits", 0));
-    req.ranks = static_cast<unsigned>(o->get_number("ranks", 1));
+        static_cast<unsigned>(o->get_count("block_qubits", 0, kMaxUnsigned));
+    req.ranks = static_cast<unsigned>(o->get_count("ranks", 1, kMaxUnsigned));
     req.scheduler = o->get_string("sched", "remap");
-    req.seed = static_cast<std::uint64_t>(o->get_number("seed", 1));
+    req.seed = o->get_count("seed", 1, kMaxUint64);
     req.precision = o->get_string("precision", "");
   }
   if (const json::Value* noise = job.find("noise")) {

@@ -13,6 +13,15 @@ using machine::MachineSpec;
 const MachineSpec kA64fx = MachineSpec::a64fx();
 const InterconnectSpec kTofu = InterconnectSpec::tofu_d();
 
+/// Model-only distributed plan: no layout-restore epilogue.
+sv::ExecutionPlan compile(const qc::Circuit& c, unsigned node_qubits,
+                          CommScheduler scheduler) {
+  DistExecOptions o;
+  o.scheduler = scheduler;
+  o.restore_layout = false;
+  return compile_distributed(c, node_qubits, o);
+}
+
 TEST(Interconnect, ExchangeTimeIsLatencyPlusTransfer) {
   const InterconnectSpec t = InterconnectSpec::tofu_d();
   const double small = t.pairwise_exchange_seconds(0.0);
@@ -31,7 +40,7 @@ TEST(Interconnect, EdrSlowerThanTofuForLargeMessages) {
 TEST(DistSim, LocalOnlyCircuitHasNoCommTime) {
   qc::Circuit c(20);
   c.h(0).cx(1, 2).rz(3, 0.4);
-  const DistPlan plan = plan_distribution(c, 4, CommScheduler::Naive);
+  const sv::ExecutionPlan plan = compile(c, 4, CommScheduler::Naive);
   const DistTiming t = time_plan(plan, kA64fx, {}, kTofu);
   EXPECT_DOUBLE_EQ(t.comm_seconds, 0.0);
   EXPECT_GT(t.compute_seconds, 0.0);
@@ -42,7 +51,7 @@ TEST(DistSim, CommDominatesForNodeHeavyCircuit) {
   // Hammer a node qubit: exchange of the 2^24 partition each time.
   qc::Circuit c(28);
   for (int i = 0; i < 10; ++i) c.h(27);
-  const DistPlan plan = plan_distribution(c, 4, CommScheduler::Naive);
+  const sv::ExecutionPlan plan = compile(c, 4, CommScheduler::Naive);
   const DistTiming t = time_plan(plan, kA64fx, {}, kTofu);
   EXPECT_GT(t.comm_seconds, t.compute_seconds);
   EXPECT_EQ(t.num_exchanges, 10u);
@@ -50,7 +59,7 @@ TEST(DistSim, CommDominatesForNodeHeavyCircuit) {
 
 TEST(DistSim, PipelinedBoundIsMaxOfStreams) {
   const qc::Circuit c = qc::qft(24);
-  const DistPlan plan = plan_distribution(c, 3, CommScheduler::Naive);
+  const sv::ExecutionPlan plan = compile(c, 3, CommScheduler::Naive);
   const DistTiming t = time_plan(plan, kA64fx, {}, kTofu);
   EXPECT_DOUBLE_EQ(t.pipelined_seconds,
                    std::max(t.compute_seconds, t.comm_seconds));
@@ -59,8 +68,8 @@ TEST(DistSim, PipelinedBoundIsMaxOfStreams) {
 
 TEST(DistSim, RemapReducesTotalTimeOnQft) {
   const qc::Circuit c = qc::qft(26);
-  const DistPlan naive = plan_distribution(c, 4, CommScheduler::Naive);
-  const DistPlan remap = plan_distribution(c, 4, CommScheduler::Remap);
+  const sv::ExecutionPlan naive = compile(c, 4, CommScheduler::Naive);
+  const sv::ExecutionPlan remap = compile(c, 4, CommScheduler::Remap);
   const DistTiming tn = time_plan(naive, kA64fx, {}, kTofu);
   const DistTiming tr = time_plan(remap, kA64fx, {}, kTofu);
   EXPECT_LT(tr.comm_seconds, tn.comm_seconds);
@@ -68,7 +77,7 @@ TEST(DistSim, RemapReducesTotalTimeOnQft) {
 
 TEST(DistSim, EventDrivenMatchesBspWithoutStraggler) {
   const qc::Circuit c = qc::qft(16);
-  const DistPlan plan = plan_distribution(c, 3, CommScheduler::Naive);
+  const sv::ExecutionPlan plan = compile(c, 3, CommScheduler::Naive);
   const DistTiming bsp = time_plan(plan, kA64fx, {}, kTofu);
   const double makespan = event_driven_makespan(plan, kA64fx, {}, kTofu);
   EXPECT_NEAR(makespan, bsp.total_seconds, bsp.total_seconds * 1e-9);
@@ -76,7 +85,7 @@ TEST(DistSim, EventDrivenMatchesBspWithoutStraggler) {
 
 TEST(DistSim, StragglerDelayPropagatesThroughExchanges) {
   const qc::Circuit c = qc::qft(16);
-  const DistPlan plan = plan_distribution(c, 3, CommScheduler::Naive);
+  const sv::ExecutionPlan plan = compile(c, 3, CommScheduler::Naive);
   ASSERT_GT(plan.num_exchanges, 0u);
   const double clean = event_driven_makespan(plan, kA64fx, {}, kTofu);
   StragglerConfig s;
@@ -91,7 +100,7 @@ TEST(DistSim, StragglerDelayPropagatesThroughExchanges) {
 TEST(DistSim, StragglerWithoutExchangesOnlyDelaysItself) {
   qc::Circuit c(16);
   c.h(0).h(1).h(2);  // purely local
-  const DistPlan plan = plan_distribution(c, 3, CommScheduler::Naive);
+  const sv::ExecutionPlan plan = compile(c, 3, CommScheduler::Naive);
   StragglerConfig s;
   s.node = 0;
   s.slowdown = 2.0;
@@ -108,7 +117,7 @@ TEST(DistSim, WeakScalingCommGrowsWithNodes) {
   double prev_comm = -1.0;
   for (unsigned d : {1u, 3u, 5u}) {
     const qc::Circuit c = qc::qft(local + d);
-    const DistPlan plan = plan_distribution(c, d, CommScheduler::Naive);
+    const sv::ExecutionPlan plan = compile(c, d, CommScheduler::Naive);
     const DistTiming t = time_plan(plan, kA64fx, {}, kTofu);
     EXPECT_GT(t.comm_seconds, prev_comm);
     prev_comm = t.comm_seconds;

@@ -138,7 +138,10 @@ TEST(Integration, DistributedQftProjectionEndToEnd) {
   // Full pipeline: plan -> time -> event-driven check, both schedulers.
   const qc::Circuit c = qc::qft(24);
   for (auto sched : {dist::CommScheduler::Naive, dist::CommScheduler::Remap}) {
-    const auto plan = dist::plan_distribution(c, 4, sched);
+    dist::DistExecOptions o;
+    o.scheduler = sched;
+    o.restore_layout = false;
+    const auto plan = dist::compile_distributed(c, 4, o);
     const auto t = dist::time_plan(plan, machine::MachineSpec::a64fx(), {},
                                    dist::InterconnectSpec::tofu_d());
     EXPECT_GT(t.total_seconds, 0.0) << dist::scheduler_name(sched);

@@ -1,7 +1,7 @@
 // ExecutionPlan compiler, validator, and cross-path equivalence.
 //
-// The plan IR is the contract between three compilers (compile_plan,
-// dist::compile_distributed, the DistPlan adapter) and three executors
+// The plan IR is the contract between two compilers (compile_plan for one
+// node, dist::compile_distributed for 2^d ranks) and three executors
 // (sv::run_plan, dist::time_plan, perf::cost_plan). These tests pin the
 // contract: structural invariants reject malformed plans, and the same
 // circuit produces identical amplitudes whether it runs dense, blocked, or
@@ -17,7 +17,6 @@
 
 #include "common/error.hpp"
 #include "dist/dist_plan.hpp"
-#include "dist/dist_sim.hpp"
 #include "machine/cache_probe.hpp"
 #include "machine/machine_spec.hpp"
 #include "obs/metrics.hpp"
@@ -451,26 +450,34 @@ TEST(CostPlan, MirrorsPlanStructure) {
   EXPECT_GT(cost.total_flops, 0.0);
 }
 
-TEST(DistTiming, LegacyPlanAdapterMatchesSharedIR) {
-  // The legacy DistPlan overloads must be pure adapters: identical numbers
-  // to timing the converted ExecutionPlan directly.
+TEST(CostPlan, NodeSlotDiagonalsPriceWhatTheBusiestRankRuns) {
+  // A diagonal whose operands all sit on node slots is a phase over the
+  // whole partition on the ranks whose bits match; one with some local
+  // operands is a diagonal on only those local slots. Scratch local slots
+  // would under-price the first shape.
   const auto m = machine::MachineSpec::a64fx();
-  const auto net = dist::InterconnectSpec::tofu_d();
-  const Circuit c = qc::qft(18);
-  for (auto sched :
-       {dist::CommScheduler::Naive, dist::CommScheduler::Remap}) {
-    const dist::DistPlan legacy = dist::plan_distribution(c, 3, sched);
-    const ExecutionPlan converted = dist::to_execution_plan(legacy);
-    const dist::DistTiming a = dist::time_plan(legacy, m, {}, net);
-    const dist::DistTiming b = dist::time_plan(converted, m, {}, net);
-    EXPECT_DOUBLE_EQ(a.compute_seconds, b.compute_seconds);
-    EXPECT_DOUBLE_EQ(a.comm_seconds, b.comm_seconds);
-    EXPECT_EQ(a.num_exchanges, b.num_exchanges);
-    EXPECT_DOUBLE_EQ(a.exchange_bytes, b.exchange_bytes);
-    EXPECT_DOUBLE_EQ(
-        dist::event_driven_makespan(legacy, m, {}, net),
-        dist::event_driven_makespan(converted, m, {}, net));
-  }
+  const unsigned ln = 20;
+  Circuit c(ln + 2);
+  c.cp(ln, ln + 1, 0.3);  // both operands on node slots
+  c.cp(1, ln + 1, 0.3);   // one local operand
+  dist::DistExecOptions o;
+  o.scheduler = dist::CommScheduler::Naive;
+  o.restore_layout = false;
+  const ExecutionPlan plan = dist::compile_distributed(c, 2, o);
+  ASSERT_EQ(plan.phases.size(), 2u);
+  EXPECT_EQ(plan.num_exchanges, 0u);
+  const perf::PlanCost cost = perf::cost_plan(plan, m, {});
+
+  const double whole_partition =
+      perf::time_gate(Gate::rz(0, 0.1), ln, m, {}).seconds;
+  const double local_diagonal =
+      perf::time_gate(Gate::diag({1}, {qc::cplx{1.0, 0.0}, qc::cplx{0.0, 1.0}}),
+                      ln, m, {})
+          .seconds;
+  EXPECT_DOUBLE_EQ(cost.phases[0].seconds, whole_partition);
+  EXPECT_DOUBLE_EQ(cost.phases[1].seconds, local_diagonal);
+  EXPECT_GT(cost.phases[0].seconds,
+            perf::time_gate(Gate::cp(ln - 1, ln - 2, 0.3), ln, m, {}).seconds);
 }
 
 }  // namespace

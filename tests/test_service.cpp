@@ -399,6 +399,14 @@ TEST(ServeProtocol, ParseJobLineReadsOptionsAndNoise) {
   EXPECT_TRUE(req.noise.has_readout_error());
   EXPECT_THROW(svc::parse_job_line(R"({"shots":4})"), Error);
   EXPECT_THROW(svc::parse_job_line("not json"), Error);
+  // Numbers bound for unsigned fields are range-checked before any cast.
+  for (const char* line :
+       {R"({"id":"a","qft":-3,"shots":4})", R"({"qft":4,"shots":1e30})",
+        R"({"qft":4,"options":{"ranks":-2}})", R"({"qv":[4,2,-1]})",
+        R"({"qft":2.5})", R"({"qft":65})", R"({"qft":4,"shots":1e999})",
+        R"({"qft":4,"shots":0})", R"({"qft":4,"options":{"seed":1e300}})",
+        R"({"qft":4,"options":{"fusion_width":4294967296}})"})
+    EXPECT_THROW(svc::parse_job_line(line), Error) << line;
 }
 
 TEST(ServeProtocol, ResultJsonRoundTripsThroughTheReader) {
