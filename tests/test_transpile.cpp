@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <numbers>
+#include <ostream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -10,6 +11,15 @@
 #include "qc/library.hpp"
 
 namespace svsim::qc {
+
+// Prints a test parameter as kind and qubits (e.g. "swap_0_1"). Without it
+// googletest dumps the Gate's raw bytes, heap pointers included, and the
+// per-case test names that gtest_discover_tests builds change every run.
+void PrintTo(const Gate& g, std::ostream* os) {
+  *os << gate_kind_name(g.kind);
+  for (unsigned q : g.qubits) *os << '_' << q;
+}
+
 namespace {
 
 double unitary_error(const Circuit& a, const Circuit& b) {
