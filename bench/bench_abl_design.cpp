@@ -62,11 +62,11 @@ void ablation_diagonal_fusion(bench::BenchContext& ctx) {
     fo.max_width = 4;
     fo.prefer_diagonal = prefer;
     const qc::Circuit fused = sv::fuse(c_model, fo);
-    const auto r = perf::simulate_circuit(fused, m, {});
+    const auto r = bench::model_circuit(fused, m);
     t.add_row({std::string(prefer ? "DIAG kernels" : "dense UNITARY"),
-               static_cast<std::int64_t>(fused.size()), r.total_seconds});
+               static_cast<std::int64_t>(fused.size()), r.compute_seconds});
     ctx.model(std::string("diagfuse.") + (prefer ? "diag" : "dense") + ".s",
-              r.total_seconds, "s", m.name);
+              r.compute_seconds, "s", m.name);
   }
   ctx.table(t);
 
@@ -84,7 +84,7 @@ void ablation_diagonal_fusion(bench::BenchContext& ctx) {
     fo.prefer_diagonal = prefer;
     const qc::Circuit fused = sv::fuse(c_host, fo);
     BenchContext::MeasureOpts mo;
-    mo.model_seconds = perf::simulate_circuit(fused, host, {}).total_seconds;
+    mo.model_seconds = bench::model_circuit(fused, host).compute_seconds;
     mo.model_machine = host.name;
     const auto st = ctx.measure(
         std::string("host.diagfuse.") + (prefer ? "diag" : "dense"),

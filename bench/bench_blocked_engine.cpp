@@ -8,7 +8,7 @@
 //
 // tab2_blocked — the same effect at circuit level: a fused
 // quantum-volume circuit run through Simulator with blocking on/off,
-// alongside the sweep planner's gates-per-traversal for the fused circuit.
+// alongside the compiled plan's gates-per-traversal for the fused circuit.
 #include "bench_util.hpp"
 
 #include <cstdint>
@@ -18,6 +18,7 @@
 #include "qc/library.hpp"
 #include "sv/engine.hpp"
 #include "sv/fusion.hpp"
+#include "sv/plan.hpp"
 #include "sv/sweep.hpp"
 
 using namespace svsim;
@@ -28,9 +29,12 @@ SVSIM_BENCH(fig1_blocked, "Fig. 1 (blocked)",
   sv::StateVector<double> state(n);
   bench::spread_amplitudes(state);
 
-  const sv::SweepOptions so;  // defaults: 512 KiB budget, complex<double>
-  const unsigned b = sv::auto_block_qubits(n, so.cache_bytes, so.amp_bytes,
-                                           so.min_free_qubits);
+  // Default 512 KiB budget, complex<double> amplitudes.
+  sv::PlanOptions po;
+  po.blocking = true;
+  const unsigned b = sv::auto_block_qubits(n, sv::kDefaultCacheBytes,
+                                           po.amp_bytes, po.min_free_qubits);
+  po.block_qubits = b;
   const auto a64fx = machine::MachineSpec::a64fx();
 
   Table t("Blocked sweep, n=" + std::to_string(n) +
@@ -42,10 +46,10 @@ SVSIM_BENCH(fig1_blocked, "Fig. 1 (blocked)",
     if (ctx.smoke() && k != 1 && k != 4 && k != 16) continue;
 
     // k Hadamards on rotating low targets: every operand < b, so the
-    // planner folds the whole run into one blocked step.
+    // compiler folds the whole run into one LocalSweep phase.
     qc::Circuit c(n);
     for (unsigned i = 0; i < k; ++i) c.h(i % 8);
-    const sv::SweepPlan plan = sv::plan_sweeps(c, so);
+    const sv::ExecutionPlan plan = sv::compile_plan(c, po);
     const perf::SweepCost cost = perf::blocked_sweep_cost(
         c.gates(), n, b, a64fx, machine::ExecConfig{});
 
@@ -103,7 +107,10 @@ SVSIM_BENCH(tab2_blocked, "Tab. 2 (blocked)",
   sv::FusionOptions fo;
   fo.max_width = 3;
   const qc::Circuit fused = sv::fuse(c, fo);
-  const sv::SweepPlan plan = sv::plan_sweeps(fused, sv::SweepOptions{});
+  sv::PlanOptions po;
+  po.blocking = true;
+  po.cache_bytes = sv::kDefaultCacheBytes;
+  const sv::ExecutionPlan plan = sv::compile_plan(fused, po);
   ctx.model("qv.gates_per_traversal", plan.gates_per_traversal(), "gates");
 
   Table t("Fused QV n=" + std::to_string(n) + " depth=" +

@@ -63,14 +63,12 @@ SVSIM_BENCH(fig4_sve_width, "Fig. 4", "SVE vector-length sweep (model)") {
         machine::ExecConfig cfg;
         cfg.vector_bits = vl;
         cfg.threads = threads;
-        perf::PerfOptions po;
-        po.fusion = threads == 1;  // fusion makes the small case FP-bound
-        po.fusion_width = 4;
-        const auto r = perf::simulate_circuit(c, m, cfg, po);
+        // Fusion (width 4) makes the small case FP-bound.
+        const auto r = bench::model_circuit(c, m, cfg, threads == 1 ? 4 : 0);
         t.add_row({name, static_cast<std::int64_t>(vl),
-                   r.total_seconds * 1e3, r.achieved_gflops()});
+                   r.compute_seconds * 1e3, r.achieved_gflops()});
         ctx.model(bench::sub("a64fx." + key + ".vl", vl) + ".s",
-                  r.total_seconds, "s", m.name);
+                  r.compute_seconds, "s", m.name);
       }
     }
     ctx.table(t);

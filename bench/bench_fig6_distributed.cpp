@@ -8,7 +8,6 @@
 #include "bench_util.hpp"
 
 #include "dist/dist_sim.hpp"
-#include "perf/perf_simulator.hpp"
 #include "qc/library.hpp"
 
 using namespace svsim;
@@ -26,11 +25,10 @@ void weak_scaling(bench::BenchContext& ctx, const dist::InterconnectSpec& net,
     const unsigned n = local + d;
     const qc::Circuit c = qc::qft(n);
     if (d == 0) {
-      const auto r = perf::simulate_circuit(c, m, {});
+      const double s = bench::model_circuit(c, m).compute_seconds;
       t.add_row({std::int64_t{1}, static_cast<std::int64_t>(n),
-                 std::string("-"), std::int64_t{0}, 0.0, r.total_seconds, 0.0,
-                 r.total_seconds, 0.0});
-      ctx.model(net.name + ".nodes1.total_s", r.total_seconds, "s", m.name);
+                 std::string("-"), std::int64_t{0}, 0.0, s, 0.0, s, 0.0});
+      ctx.model(net.name + ".nodes1.total_s", s, "s", m.name);
       continue;
     }
     for (auto sched :
@@ -62,7 +60,7 @@ SVSIM_BENCH(fig6_distributed, "Fig. 6", "distributed weak scaling (model)") {
   weak_scaling(ctx, dist::InterconnectSpec::tofu_d(), max_d);
   weak_scaling(ctx, dist::InterconnectSpec::infiniband_edr(), max_d);
 
-  // Straggler propagation: the event-driven simulator's contribution.
+  // Straggler propagation: the per-rank clocks' contribution.
   {
     const auto m = machine::MachineSpec::a64fx();
     const auto net = dist::InterconnectSpec::tofu_d();
@@ -73,12 +71,12 @@ SVSIM_BENCH(fig6_distributed, "Fig. 6", "distributed weak scaling (model)") {
     const auto plan = dist::compile_distributed(c, 4, o);
     Table t("Straggler propagation (16 nodes, one slow node, QFT(22))",
             {"slowdown", "makespan_ms", "vs_clean"});
-    const double clean = dist::event_driven_makespan(plan, m, {}, net);
+    const double clean = dist::time_plan(plan, m, {}, net).makespan_seconds;
     for (double slow : {1.0, 1.5, 2.0, 4.0}) {
       dist::StragglerConfig s;
       s.node = 3;
       s.slowdown = slow;
-      const double ms = dist::event_driven_makespan(plan, m, {}, net, s);
+      const double ms = dist::time_plan(plan, m, {}, net, s).makespan_seconds;
       t.add_row({slow, ms * 1e3, ms / clean});
       ctx.model(bench::sub("straggler.x", static_cast<unsigned>(slow * 10)) +
                     ".vs_clean",

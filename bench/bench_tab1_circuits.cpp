@@ -7,7 +7,6 @@
 // wall times for smaller instances validate that the code actually runs.
 #include "bench_util.hpp"
 
-#include "perf/perf_simulator.hpp"
 #include "qc/library.hpp"
 
 using namespace svsim;
@@ -33,7 +32,7 @@ SVSIM_BENCH(tab1_circuits, "Tab. 1", "circuit suite across processors") {
   for (const auto& [name, c] : suite) {
     std::vector<double> secs;
     for (const auto& [key, m] : machines) {
-      secs.push_back(perf::simulate_circuit(c, m, {}).total_seconds);
+      secs.push_back(bench::model_circuit(c, m).compute_seconds);
       ctx.model(key + "." + name + ".s", secs.back(), "s", m.name);
     }
     t.add_row({name, static_cast<std::int64_t>(c.size()), secs[0], secs[1],
@@ -43,13 +42,10 @@ SVSIM_BENCH(tab1_circuits, "Tab. 1", "circuit suite across processors") {
 
   Table tf("Model wall time (seconds), n=26, fusion width 4",
            {"circuit", "A64FX", "2xXeon6148", "2xTX2"});
-  perf::PerfOptions fo;
-  fo.fusion = true;
-  fo.fusion_width = 4;
   for (const auto& [name, c] : suite) {
     std::vector<Cell> row{name};
     for (const auto& [key, m] : machines) {
-      const double s = perf::simulate_circuit(c, m, {}, fo).total_seconds;
+      const double s = bench::model_circuit(c, m, {}, 4).compute_seconds;
       row.push_back(s);
       ctx.model(key + "." + name + ".fused4.s", s, "s", m.name);
     }
@@ -71,7 +67,7 @@ SVSIM_BENCH(tab1_circuits, "Tab. 1", "circuit suite across processors") {
              {"circuit", "plain", "fused4"});
     for (const auto& [name, c] : small) {
       BenchContext::MeasureOpts mo;
-      mo.model_seconds = perf::simulate_circuit(c, host, {}).total_seconds;
+      mo.model_seconds = bench::model_circuit(c, host).compute_seconds;
       mo.model_machine = host.name;
       const auto plain = ctx.measure(
           "host." + name + ".plain",
@@ -84,11 +80,8 @@ SVSIM_BENCH(tab1_circuits, "Tab. 1", "circuit suite across processors") {
       sv::SimulatorOptions fopts;
       fopts.fusion = true;
       fopts.fusion_width = 4;
-      perf::PerfOptions fpo;
-      fpo.fusion = true;
-      fpo.fusion_width = 4;
       mo.model_seconds =
-          perf::simulate_circuit(c, host, {}, fpo).total_seconds;
+          bench::model_circuit(c, host, {}, 4).compute_seconds;
       const auto fused = ctx.measure(
           "host." + name + ".fused4",
           [&] {

@@ -9,7 +9,6 @@
 // confirms.
 #include "bench_util.hpp"
 
-#include "perf/perf_simulator.hpp"
 #include "qc/library.hpp"
 #include "sv/fusion.hpp"
 
@@ -27,14 +26,13 @@ SVSIM_BENCH(tab2_fusion, "Tab. 2", "gate-fusion impact (QV circuit)") {
       sv::FusionOptions fo;
       fo.max_width = width;
       const qc::Circuit fused = sv::fuse(c, fo);
-      perf::PerfOptions po;  // circuit already fused
-      const auto r = perf::simulate_circuit(fused, m, {}, po);
-      if (width == 1) base = r.total_seconds;
+      const auto r = bench::model_circuit(fused, m);  // already fused
+      if (width == 1) base = r.compute_seconds;
       t.add_row({static_cast<std::int64_t>(width),
                  static_cast<std::int64_t>(fused.size()),
-                 r.total_flops / r.total_bytes, r.total_seconds,
-                 base / r.total_seconds});
-      ctx.model(bench::sub("a64fx.qv26.w", width) + ".s", r.total_seconds,
+                 r.total_flops / r.total_bytes, r.compute_seconds,
+                 base / r.compute_seconds});
+      ctx.model(bench::sub("a64fx.qv26.w", width) + ".s", r.compute_seconds,
                 "s", m.name);
     }
     ctx.table(t);
@@ -57,7 +55,7 @@ SVSIM_BENCH(tab2_fusion, "Tab. 2", "gate-fusion impact (QV circuit)") {
       fo.max_width = width;
       const qc::Circuit fused = sv::fuse(c, fo);
       const double model_s =
-          perf::simulate_circuit(fused, host, host_cfg).total_seconds;
+          bench::model_circuit(fused, host, host_cfg).compute_seconds;
       BenchContext::MeasureOpts mo;
       mo.model_seconds = model_s;
       mo.model_machine = host.name;

@@ -14,7 +14,7 @@ using namespace svsim;
 namespace {
 
 void mode_table(bench::BenchContext& ctx, const std::string& key,
-                const qc::Circuit& c, const perf::PerfOptions& opts,
+                const qc::Circuit& c, unsigned fusion_width,
                 const char* title) {
   const std::vector<std::pair<std::string, machine::MachineSpec>> modes = {
       {"normal", machine::MachineSpec::a64fx()},
@@ -25,7 +25,8 @@ void mode_table(bench::BenchContext& ctx, const std::string& key,
                   "vs_normal_time", "vs_normal_power"});
   double t0 = 0.0, w0 = 0.0;
   for (const auto& [name, m] : modes) {
-    const auto p = perf::estimate_power(c, m, {}, opts);
+    const auto p =
+        perf::estimate_power(bench::model_circuit(c, m, {}, fusion_width), m);
     if (name == "normal") {
       t0 = p.seconds;
       w0 = p.average_watts;
@@ -43,12 +44,8 @@ void mode_table(bench::BenchContext& ctx, const std::string& key,
 }  // namespace
 
 SVSIM_BENCH(tab3_power, "Tab. 3", "A64FX power modes (model)") {
-  mode_table(ctx, "qft27", qc::qft(27), {},
+  mode_table(ctx, "qft27", qc::qft(27), 0,
              "Memory-bound: QFT(27), no fusion");
-
-  perf::PerfOptions fused;
-  fused.fusion = true;
-  fused.fusion_width = 5;
-  mode_table(ctx, "qv20f5", qc::random_quantum_volume(20, 20, 3), fused,
+  mode_table(ctx, "qv20f5", qc::random_quantum_volume(20, 20, 3), 5,
              "Compute-bound: QV(20) depth 20, fusion width 5");
 }

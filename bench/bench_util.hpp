@@ -18,7 +18,10 @@
 #include "machine/machine_spec.hpp"
 #include "obs/bench/env.hpp"
 #include "obs/bench/registry.hpp"
+#include "perf/perf_simulator.hpp"
+#include "qc/circuit.hpp"
 #include "qc/gate.hpp"
+#include "sv/plan.hpp"
 #include "sv/simulator.hpp"
 #include "sv/state_vector.hpp"
 
@@ -52,6 +55,21 @@ inline double measured_bandwidth_gbps(double model_bytes, double seconds) {
 /// cores/ghz/gbps (see obs/bench/env.hpp); only the *shape* of host-model
 /// comparisons is meaningful on an uncontrolled machine.
 inline machine::MachineSpec host_spec() { return obs::bench::host_spec(); }
+
+/// Modeled cost of `circuit` on `m`: compiled without blocking (one phase
+/// per gate, fused first when `fusion_width` > 0) and walked by
+/// perf::cost_plan, so `compute_seconds` is Σ time_gate over the gates.
+inline perf::PlanCost model_circuit(const qc::Circuit& circuit,
+                                    const machine::MachineSpec& m,
+                                    const machine::ExecConfig& config = {},
+                                    unsigned fusion_width = 0) {
+  sv::PlanOptions po;
+  if (fusion_width > 0) {
+    po.fusion = true;
+    po.fusion_width = fusion_width;
+  }
+  return perf::cost_plan(sv::compile_plan(circuit, po), m, config);
+}
 
 /// Stable record sub-ID fragment: "<prefix><number>", e.g. sub("host.h.t", 4).
 inline std::string sub(const std::string& prefix, unsigned long long v) {

@@ -15,6 +15,7 @@
 #include "perf/perf_simulator.hpp"
 #include "perf/power_model.hpp"
 #include "qc/library.hpp"
+#include "sv/plan.hpp"
 #include "sv/simulator.hpp"
 
 using namespace svsim;
@@ -47,12 +48,12 @@ int main(int argc, char** argv) {
     for (const auto& m :
          {machine::MachineSpec::a64fx(), machine::MachineSpec::a64fx_boost(),
           machine::MachineSpec::a64fx_eco()}) {
-      perf::PerfOptions opts;
-      opts.fusion = fusion;
-      opts.fusion_width = 4;
-      const auto r = perf::simulate_circuit(circuit, m, {}, opts);
-      const auto p = perf::estimate_power(circuit, m, {}, opts);
-      node.add_row({m.name + (fusion ? " +fuse4" : ""), r.total_seconds,
+      sv::PlanOptions po;
+      po.fusion = fusion;
+      po.fusion_width = 4;
+      const auto r = perf::cost_plan(sv::compile_plan(circuit, po), m, {});
+      const auto p = perf::estimate_power(r, m);
+      node.add_row({m.name + (fusion ? " +fuse4" : ""), r.compute_seconds,
                     p.average_watts, p.joules, r.achieved_gflops(),
                     r.achieved_bandwidth_gbps()});
     }
@@ -64,7 +65,8 @@ int main(int argc, char** argv) {
   Table multi("Multi-node projection (Tofu-D, remap scheduler)",
               {"nodes", "local_qubits", "exchanges", "compute_s", "comm_s",
                "total_s", "speedup"});
-  double single = perf::simulate_circuit(circuit, a64fx, {}).total_seconds;
+  const double single =
+      perf::cost_plan(sv::compile_plan(circuit, {}), a64fx, {}).compute_seconds;
   multi.add_row({std::int64_t{1}, static_cast<std::int64_t>(n),
                  std::int64_t{0}, single, 0.0, single, 1.0});
   for (unsigned d = 2; d <= 8 && n - d >= 20; d += 2) {

@@ -19,7 +19,7 @@
 // QFT-like circuits that hammer the same high qubits this collapses the
 // exchange count — the distributed-scaling experiment (Fig. 6) quantifies
 // it. What each rank computes between exchanges is priced by
-// perf::cost_plan and timed by dist::time_plan / event_driven_makespan.
+// perf::cost_plan and timed by dist::time_plan.
 #pragma once
 
 #include "qc/circuit.hpp"

@@ -61,7 +61,7 @@ void TimelineBuilder::on_exchange(std::uint64_t rank_a, std::uint64_t rank_b,
   // The early rank parks until the rendezvous; record the idle gap. The
   // wait's duration is a subtraction (one rounding), so the stored
   // end_seconds is advanced to `start` directly — Compute/Wire timing
-  // stays an exact re-derivation of the simulator's clock chain while
+  // stays an exact re-derivation of the timer's clock chain while
   // waits tile the axis to visual precision.
   auto park = [&](RankTimeline& rt, std::uint64_t other, double arrive) {
     if (arrive >= start) return;
@@ -93,7 +93,7 @@ void TimelineBuilder::on_exchange(std::uint64_t rank_a, std::uint64_t rank_b,
     e.transfer_seconds = transfer;
     e.partner_event = partner_event;
     e.start_seconds = start;
-    // Same expression as the simulator's `comm`: end re-derives `ready`.
+    // Same expression as time_plan's `comm`: end re-derives `ready`.
     e.duration_seconds = fixed + transfer;
     return e;
   };
@@ -153,11 +153,11 @@ Timeline record_timeline(const sv::ExecutionPlan& plan,
                 std::to_string(nodes) +
                 " ranks, above the timeline recorder cap of " +
                 std::to_string(kTimelineMaxRanks) +
-                " (use event_driven_makespan without a recorder)");
+                " (time it with dist::time_plan, which keeps no events)");
   TimelineBuilder builder(plan, m.name, net.name);
-  const double makespan =
-      event_driven_makespan(plan, m, config, net, straggler, &builder);
-  Timeline t = builder.finish(makespan);
+  const DistTiming timing =
+      time_plan(plan, m, config, net, straggler, &builder, ctx);
+  Timeline t = builder.finish(timing.makespan_seconds);
   record_timeline_metrics(ctx.metrics(), t);
   return t;
 }

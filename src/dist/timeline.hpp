@@ -1,8 +1,8 @@
-// Per-rank timeline recording for the event-driven makespan simulator.
+// Per-rank timeline recording for the distributed timer.
 //
-// dist::event_driven_makespan keeps one clock per rank but historically
-// returned a single double and discarded the entire schedule it computed.
-// A TimelineBuilder rides that walk and keeps every scheduled interval:
+// dist::time_plan keeps one clock per rank when a straggler or recorder is
+// given, but returns only the makespan. A TimelineBuilder handed to it
+// rides that walk and keeps every scheduled interval:
 //
 //   Compute — a LocalSweep / DenseGate / MeasureFlush phase executing on
 //             the rank's 2^local_qubits partition;
@@ -13,8 +13,8 @@
 //
 // The resulting Timeline tiles every rank's axis [0, rank end]: each
 // event starts where the previous one ends, Compute/Wire ends re-derive
-// the simulator's clock values bit-exactly (`start + duration` is the
-// same floating-point expression the simulator evaluated), and matched
+// the timer's clock values bit-exactly (`start + duration` is the
+// same floating-point expression the timer evaluated), and matched
 // Wire events carry each other's index (`partner_event`). Those three
 // properties are what let perf/critical_path.hpp walk the dependency DAG
 // backward from the finishing event and prove its path sum equals the
@@ -83,7 +83,7 @@ struct TimelineEvent {
   std::uint32_t partner_event = kNoPartnerEvent;
 
   /// End of the interval. For Compute/Wire this is bit-exactly the clock
-  /// value the makespan simulator assigned (same FP expression).
+  /// value time_plan's per-rank walk assigned (same FP expression).
   double end_seconds() const noexcept { return start_seconds + duration_seconds; }
 };
 
@@ -105,8 +105,8 @@ struct RankTimeline {
 };
 
 /// record_timeline refuses plans wider than this: the recorder keeps every
-/// event of every rank in memory, a much heavier footprint than the
-/// makespan simulator's one double per rank (see kMakespanMaxRanks).
+/// event of every rank in memory, a much heavier footprint than
+/// time_plan's one clock per rank (see kMakespanMaxRanks).
 inline constexpr std::uint64_t kTimelineMaxRanks = std::uint64_t{1} << 12;
 
 struct Timeline {
@@ -120,7 +120,7 @@ struct Timeline {
   std::string machine_name;
   std::string interconnect_name;
 
-  /// The value event_driven_makespan returned == max over rank ends.
+  /// time_plan's makespan_seconds == max over rank ends.
   double makespan_seconds = 0.0;
   std::vector<RankTimeline> ranks;
 
@@ -154,7 +154,7 @@ struct Timeline {
   }
 };
 
-/// Recorder handed to event_driven_makespan. The simulator stays the clock
+/// Recorder handed to dist::time_plan. The timer stays the clock
 /// authority: it passes the exact arrival clocks and cost terms it uses,
 /// and the builder re-derives starts/ends with the same FP expressions so
 /// recorded intervals match the returned makespan bit-exactly.
@@ -184,8 +184,8 @@ class TimelineBuilder {
   bool finished_ = false;
 };
 
-/// Runs the event-driven makespan simulator with a recorder attached and
-/// returns the full per-rank timeline. Publishes dist.timeline.* metrics
+/// Runs dist::time_plan with a recorder attached and returns the full
+/// per-rank timeline. Publishes dist.timeline.* metrics
 /// (records/events counters, imbalance/wire_utilization/makespan gauges)
 /// into `ctx`'s registry and records its span into `ctx`'s tracer.
 /// Throws svsim::Error when the plan spans more than kTimelineMaxRanks.

@@ -27,8 +27,8 @@
 
 namespace svsim::obs {
 
-/// What a span measures. `Kernel` spans are the per-gate unit the drift
-/// report joins against the performance model.
+/// What a span measures. `Kernel` spans are the per-gate unit of the
+/// span listing and the kernel-bandwidth table.
 enum class SpanCategory : std::uint8_t {
   Kernel,      ///< one gate / fused block applied to the state
   Measure,     ///< MEASURE / RESET (stochastic, collapses the state)
@@ -153,7 +153,7 @@ class ScopedSpan {
   std::uint64_t bytes_ = 0;
 };
 
-/// Per-span listing (measured counterpart of perf::trace_table).
+/// Per-span listing (measured counterpart of perf::trace_table's phases).
 Table span_table(const std::vector<Span>& spans, std::size_t max_rows = 32);
 
 /// Aggregation per span name: count, total time, bytes, achieved GB/s —

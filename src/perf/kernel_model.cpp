@@ -68,7 +68,6 @@ KernelCost gate_cost(const Gate& g, unsigned n, const MachineSpec& m,
   const std::uint64_t line_bytes = m.mem_line_bytes();
 
   KernelCost cost;
-  cost.kernel = g.name();
 
   auto full_sweep = [&](double flops_total, double eff) {
     cost.flops = flops_total;

@@ -16,7 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "machine/exec_config.hpp"
 #include "machine/machine_spec.hpp"
@@ -26,7 +25,7 @@ namespace svsim::perf {
 
 /// Cost profile of one gate applied to a 2^n state.
 struct KernelCost {
-  std::string kernel;                ///< kernel-class name for reporting
+  const char* kernel = "";           ///< kernel-class name (static string)
   double flops = 0.0;
   double bytes = 0.0;                ///< traffic incl. read+write, line-granular
   std::uint64_t touched_amplitudes = 0;

@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "machine/bandwidth_model.hpp"
 #include "machine/roofline.hpp"
-#include "sv/fusion.hpp"
 
 namespace svsim::perf {
 
@@ -34,7 +33,6 @@ GateTiming time_gate(const qc::Gate& gate, unsigned num_qubits,
   const KernelCost cost = gate_cost(gate, num_qubits, m, config);
 
   GateTiming t;
-  t.gate = gate.name();
   t.cost = cost;
   if (cost.bytes == 0.0 && cost.flops == 0.0) {
     // nop (barrier / identity)
@@ -56,34 +54,6 @@ GateTiming time_gate(const qc::Gate& gate, unsigned num_qubits,
   t.seconds =
       std::max(t.compute_seconds, t.memory_seconds) + t.overhead_seconds;
   return t;
-}
-
-PerfReport simulate_circuit(const qc::Circuit& circuit, const MachineSpec& m,
-                            const ExecConfig& config,
-                            const PerfOptions& options) {
-  qc::Circuit prepared = circuit;
-  if (options.fusion) {
-    sv::FusionOptions fo;
-    fo.max_width = options.fusion_width;
-    prepared = sv::fuse(circuit, fo);
-  }
-
-  const Placement p = machine::place_threads(m, config);
-  PerfReport report;
-  report.machine_name = m.name;
-  report.num_qubits = circuit.num_qubits();
-  report.threads = p.total_threads();
-  report.num_gates = prepared.size();
-
-  for (const auto& g : prepared.gates()) {
-    GateTiming t = time_gate(g, circuit.num_qubits(), m, config);
-    report.total_seconds += t.seconds;
-    report.total_flops += t.cost.flops;
-    report.total_bytes += t.cost.bytes;
-    report.seconds_by_kernel[t.cost.kernel] += t.seconds;
-    if (options.record_trace) report.trace.push_back(std::move(t));
-  }
-  return report;
 }
 
 namespace {
@@ -152,7 +122,6 @@ PlanCost cost_plan(const sv::ExecutionPlan& plan, const MachineSpec& m,
   for (const auto& phase : plan.phases) {
     PhaseCost pc;
     pc.kind = phase.kind;
-    pc.gates = phase.gates.size();
     switch (phase.kind) {
       case sv::PhaseKind::LocalSweep: {
         const SweepCost sc =
@@ -168,8 +137,10 @@ PlanCost cost_plan(const sv::ExecutionPlan& plan, const MachineSpec& m,
         const double bw =
             machine::effective_bandwidth_gbps(m, p, partition_bytes);
         const double memory_seconds = sc.dram_bytes / (bw * 1e9);
+        pc.kernel = sv::phase_kind_name(phase.kind);
         pc.seconds = std::max(compute_seconds, memory_seconds) +
                      fork_join_seconds(p.total_threads());
+        pc.compute_seconds = compute_seconds;
         pc.flops = sc.flops;
         pc.bytes = sc.dram_bytes;
         ++r.traversals;
@@ -179,7 +150,9 @@ PlanCost cost_plan(const sv::ExecutionPlan& plan, const MachineSpec& m,
       case sv::PhaseKind::MeasureFlush: {
         for (const auto& g : phase.gates) {
           const GateTiming t = time_gate(localized_proxy(g, ln), ln, m, config);
+          pc.kernel = t.cost.kernel;  // MEASURE and RESET share "measure"
           pc.seconds += t.seconds;
+          pc.compute_seconds += t.compute_seconds;
           pc.flops += t.cost.flops;
           pc.bytes += t.cost.bytes;
           if (t.cost.flops > 0.0 || t.cost.bytes > 0.0) ++r.traversals;
@@ -187,6 +160,7 @@ PlanCost cost_plan(const sv::ExecutionPlan& plan, const MachineSpec& m,
         break;
       }
       case sv::PhaseKind::Exchange: {
+        pc.kernel = sv::phase_kind_name(phase.kind);
         pc.exchange_bytes = phase.exchange_bytes();
         r.num_exchanges += phase.hops.size();
         r.exchange_bytes_per_rank += pc.exchange_bytes;

@@ -1,11 +1,19 @@
-// Execution-driven performance simulator.
+// First-principles performance model over the ExecutionPlan IR.
 //
-// Walks a circuit gate by gate, derives each gate's cost profile
-// (kernel_model), resolves the thread placement and serving memory level
-// (machine models), and produces per-gate timings plus circuit aggregates:
+// `time_gate` derives one gate's cost profile (kernel_model), resolves the
+// thread placement and serving memory level (machine models), and prices
 //
 //   gate time = max(flop time under the derated compute roof,
 //                   traffic / effective bandwidth) + fork-join overhead.
+//
+// `cost_plan` walks a compiled plan (sv::compile_plan or
+// dist::compile_distributed) phase by phase: DenseGate and MeasureFlush
+// phases sum `time_gate` over their gates, a LocalSweep phase is one
+// traversal of the partition carrying all of its gates, and Exchange
+// phases report bytes for the interconnect model. A whole-circuit
+// projection is `cost_plan(compile_plan(circuit, {fusion, width}), m,
+// config)`; without blocking every gate is its own phase, so the plan
+// total is Σ time_gate over the compiled gates.
 //
 // The absolute numbers are model estimates; the point — as in the paper's
 // class of analysis — is the *shape*: regime transitions over target qubit
@@ -13,7 +21,6 @@
 // fusion payoff, and cross-machine ranking.
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -27,7 +34,6 @@
 namespace svsim::perf {
 
 struct GateTiming {
-  std::string gate;
   KernelCost cost;
   double seconds = 0.0;
   double compute_seconds = 0.0;
@@ -37,41 +43,10 @@ struct GateTiming {
   int serving_level = -1;  ///< cache index or -1 = memory
 };
 
-struct PerfOptions {
-  bool fusion = false;
-  unsigned fusion_width = 3;
-  bool record_trace = false;
-};
-
-struct PerfReport {
-  std::string machine_name;
-  unsigned num_qubits = 0;
-  unsigned threads = 0;
-  double total_seconds = 0.0;
-  double total_flops = 0.0;
-  double total_bytes = 0.0;
-  std::size_t num_gates = 0;
-  std::map<std::string, double> seconds_by_kernel;
-  std::vector<GateTiming> trace;  ///< filled iff record_trace
-
-  double achieved_gflops() const noexcept {
-    return total_seconds > 0.0 ? total_flops / total_seconds * 1e-9 : 0.0;
-  }
-  double achieved_bandwidth_gbps() const noexcept {
-    return total_seconds > 0.0 ? total_bytes / total_seconds * 1e-9 : 0.0;
-  }
-};
-
 /// Models one gate on `m` under `config` for an n-qubit register.
 GateTiming time_gate(const qc::Gate& gate, unsigned num_qubits,
                      const machine::MachineSpec& m,
                      const machine::ExecConfig& config);
-
-/// Models a whole circuit (optionally fused first).
-PerfReport simulate_circuit(const qc::Circuit& circuit,
-                            const machine::MachineSpec& m,
-                            const machine::ExecConfig& config,
-                            const PerfOptions& options = {});
 
 /// Modeled cost of one ExecutionPlan phase. `seconds` is the local compute
 /// time on a single rank's 2^local_qubits partition (zero for Exchange
@@ -79,8 +54,15 @@ PerfReport simulate_circuit(const qc::Circuit& circuit,
 /// caller's interconnect model).
 struct PhaseCost {
   sv::PhaseKind kind = sv::PhaseKind::DenseGate;
-  std::size_t gates = 0;
+  /// Kernel class for reporting (static string): the gate's kernel_model
+  /// class for a DenseGate phase ("measure" for MeasureFlush), the phase
+  /// kind name for LocalSweep and Exchange phases.
+  const char* kernel = "";
   double seconds = 0.0;
+  /// The part of `seconds` the cores spend computing (flop time under the
+  /// derated compute roof) rather than stalled on memory; the power model
+  /// reads it as core utilization.
+  double compute_seconds = 0.0;
   double flops = 0.0;
   double bytes = 0.0;           ///< modeled local DRAM/cache traffic
   double exchange_bytes = 0.0;  ///< per rank, one direction (Exchange only)
@@ -111,6 +93,12 @@ struct PlanCost {
                ? static_cast<double>(num_gates) /
                      static_cast<double>(traversals)
                : 0.0;
+  }
+  double achieved_gflops() const noexcept {
+    return compute_seconds > 0.0 ? total_flops / compute_seconds * 1e-9 : 0.0;
+  }
+  double achieved_bandwidth_gbps() const noexcept {
+    return compute_seconds > 0.0 ? total_bytes / compute_seconds * 1e-9 : 0.0;
   }
 };
 

@@ -2,39 +2,22 @@
 
 #include <algorithm>
 
-#include "sv/fusion.hpp"
-
 namespace svsim::perf {
 
-using machine::ExecConfig;
-using machine::MachineSpec;
-
-PowerReport estimate_power(const qc::Circuit& circuit, const MachineSpec& m,
-                           const ExecConfig& config,
-                           const PerfOptions& options) {
-  qc::Circuit prepared = circuit;
-  if (options.fusion) {
-    sv::FusionOptions fo;
-    fo.max_width = options.fusion_width;
-    prepared = sv::fuse(circuit, fo);
-  }
-  const machine::Placement p = machine::place_threads(m, config);
-  const unsigned cores = p.total_threads();
-
+PowerReport estimate_power(const PlanCost& cost,
+                           const machine::MachineSpec& m) {
   PowerReport report;
-  for (const auto& g : prepared.gates()) {
-    const GateTiming t = time_gate(g, circuit.num_qubits(), m, config);
-    if (t.seconds <= 0.0) continue;
-    // Utilization: fraction of the gate the cores spend computing (vs.
+  for (const PhaseCost& phase : cost.phases) {
+    if (phase.seconds <= 0.0) continue;
+    // Utilization: fraction of the phase the cores spend computing (vs.
     // stalled on memory), floored at the stall draw.
-    const double util = std::max(
-        kStallPowerFloor,
-        t.seconds > 0.0 ? t.compute_seconds / t.seconds : 0.0);
-    const double gate_bw_gbps = t.cost.bytes / t.seconds * 1e-9;
-    const double watts = m.idle_watts + cores * m.core_max_watts * util +
-                         m.mem_watts_per_gbps * gate_bw_gbps;
-    report.joules += watts * t.seconds;
-    report.seconds += t.seconds;
+    const double util =
+        std::max(kStallPowerFloor, phase.compute_seconds / phase.seconds);
+    const double phase_bw_gbps = phase.bytes / phase.seconds * 1e-9;
+    const double watts = m.idle_watts + cost.threads * m.core_max_watts * util +
+                         m.mem_watts_per_gbps * phase_bw_gbps;
+    report.joules += watts * phase.seconds;
+    report.seconds += phase.seconds;
   }
   report.average_watts =
       report.seconds > 0.0 ? report.joules / report.seconds : m.idle_watts;

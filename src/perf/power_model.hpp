@@ -1,18 +1,17 @@
-// Power and energy estimation on top of a PerfReport.
+// Power and energy estimation on top of a PlanCost.
 //
 // P(t) = idle + Σ_active cores (core_max_watts x utilization)
 //             + mem_watts_per_gbps x achieved bandwidth,
-// where utilization is each gate's compute fraction (memory-stalled cores
-// still draw a floor fraction). Calibrated so the A64FX boost/eco variants
-// reproduce the authors' published relative effects (boost ≈ +10% perf /
-// +17% power on compute-bound work; eco cuts power sharply on memory-bound
-// work at little cost).
+// where utilization is each phase's compute fraction (memory-stalled cores
+// still draw a floor fraction). Without blocking a plan holds one phase per
+// gate, so this is the per-gate power walk. Calibrated so the A64FX
+// boost/eco variants reproduce the authors' published relative effects
+// (boost ≈ +10% perf / +17% power on compute-bound work; eco cuts power
+// sharply on memory-bound work at little cost).
 #pragma once
 
-#include "machine/exec_config.hpp"
 #include "machine/machine_spec.hpp"
 #include "perf/perf_simulator.hpp"
-#include "qc/circuit.hpp"
 
 namespace svsim::perf {
 
@@ -27,11 +26,8 @@ struct PowerReport {
 /// Fraction of peak core power a memory-stalled core still draws.
 inline constexpr double kStallPowerFloor = 0.35;
 
-/// Estimates power for a circuit by re-running the performance model with
-/// per-gate utilization tracking.
-PowerReport estimate_power(const qc::Circuit& circuit,
-                           const machine::MachineSpec& m,
-                           const machine::ExecConfig& config,
-                           const PerfOptions& options = {});
+/// Estimates power from a plan's modeled cost on machine `m` (the machine
+/// `cost` was priced for; its thread count is the active core count).
+PowerReport estimate_power(const PlanCost& cost, const machine::MachineSpec& m);
 
 }  // namespace svsim::perf

@@ -97,6 +97,7 @@ ProfileReport build_profile_report(const obs::RunProfile& run,
     PhaseProfile p;
     p.index = i;
     p.kind = plan.phases[i].kind;
+    p.kernel = modeled.kernel;
     p.gates = sample.gates;
     p.hops = sample.hops;
     p.measured_seconds = sample.seconds();

@@ -38,6 +38,7 @@ namespace svsim::perf {
 struct PhaseProfile {
   std::size_t index = 0;
   sv::PhaseKind kind = sv::PhaseKind::DenseGate;
+  const char* kernel = "";  ///< cost_plan's kernel class (PhaseCost::kernel)
   std::size_t gates = 0;
   std::size_t hops = 0;
 

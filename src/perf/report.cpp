@@ -7,55 +7,45 @@
 
 namespace svsim::perf {
 
-Table summary_table(const PerfReport& report) {
-  Table t("Performance summary — " + report.machine_name,
+Table summary_table(const PlanCost& cost) {
+  Table t("Performance summary — " + cost.machine_name,
           {"qubits", "threads", "gates", "seconds", "GFLOP/s", "GB/s"});
-  t.add_row({static_cast<std::int64_t>(report.num_qubits),
-             static_cast<std::int64_t>(report.threads),
-             static_cast<std::int64_t>(report.num_gates),
-             report.total_seconds, report.achieved_gflops(),
-             report.achieved_bandwidth_gbps()});
+  t.add_row({static_cast<std::int64_t>(cost.local_qubits),
+             static_cast<std::int64_t>(cost.threads),
+             static_cast<std::int64_t>(cost.num_gates), cost.compute_seconds,
+             cost.achieved_gflops(), cost.achieved_bandwidth_gbps()});
   return t;
 }
 
-Table kernel_breakdown_table(const PerfReport& report) {
-  Table t("Time by kernel class — " + report.machine_name,
+Table kernel_breakdown_table(const PlanCost& cost) {
+  Table t("Time by kernel class — " + cost.machine_name,
           {"kernel", "seconds", "share"});
-  std::vector<std::pair<std::string, double>> rows(
-      report.seconds_by_kernel.begin(), report.seconds_by_kernel.end());
+  std::map<std::string, double> by_kernel;
+  for (const PhaseCost& phase : cost.phases)
+    if (phase.kind != sv::PhaseKind::Exchange)
+      by_kernel[phase.kernel] += phase.seconds;
+  std::vector<std::pair<std::string, double>> rows(by_kernel.begin(),
+                                                   by_kernel.end());
   std::sort(rows.begin(), rows.end(),
             [](const auto& a, const auto& b) { return a.second > b.second; });
   for (const auto& [kernel, seconds] : rows) {
     t.add_row({kernel, seconds,
-               report.total_seconds > 0.0 ? seconds / report.total_seconds
+               cost.compute_seconds > 0.0 ? seconds / cost.compute_seconds
                                           : 0.0});
   }
   return t;
 }
 
-Table trace_table(const PerfReport& report, std::size_t max_rows) {
-  Table t("Gate trace — " + report.machine_name,
-          {"gate", "kernel", "us", "GB/s", "simd_eff", "bound"});
-  const std::size_t rows = std::min(report.trace.size(), max_rows);
+Table trace_table(const PlanCost& cost, std::size_t max_rows) {
+  Table t("Phase trace — " + cost.machine_name,
+          {"phase", "kind", "kernel", "us", "GB/s"});
+  const std::size_t rows = std::min(cost.phases.size(), max_rows);
   for (std::size_t i = 0; i < rows; ++i) {
-    const GateTiming& g = report.trace[i];
-    t.add_row({g.gate, g.cost.kernel, g.seconds * 1e6,
-               g.seconds > 0.0 ? g.cost.bytes / g.seconds * 1e-9 : 0.0,
-               g.cost.simd_efficiency,
-               std::string(g.memory_bound ? "mem" : "fp")});
-  }
-  return t;
-}
-
-Table comparison_table(
-    const std::vector<std::pair<std::string, PerfReport>>& runs) {
-  Table t("Configuration comparison",
-          {"configuration", "seconds", "GFLOP/s", "GB/s", "vs_first"});
-  const double base = runs.empty() ? 1.0 : runs.front().second.total_seconds;
-  for (const auto& [label, r] : runs) {
-    t.add_row({label, r.total_seconds, r.achieved_gflops(),
-               r.achieved_bandwidth_gbps(),
-               r.total_seconds > 0.0 ? base / r.total_seconds : 0.0});
+    const PhaseCost& p = cost.phases[i];
+    t.add_row({static_cast<std::int64_t>(i),
+               std::string(sv::phase_kind_name(p.kind)), std::string(p.kernel),
+               p.seconds * 1e6,
+               p.seconds > 0.0 ? p.bytes / p.seconds * 1e-9 : 0.0});
   }
   return t;
 }
@@ -71,83 +61,6 @@ Table power_table(
   return t;
 }
 
-DriftReport drift_report(const PerfReport& model,
-                         const std::vector<obs::Span>& spans,
-                         std::size_t dropped_spans) {
-  // Only per-gate spans participate; fusion/collective spans are passes,
-  // not gates, and have no model-side partner.
-  std::vector<const obs::Span*> measured;
-  measured.reserve(spans.size());
-  for (const obs::Span& s : spans)
-    if (s.category == obs::SpanCategory::Kernel ||
-        s.category == obs::SpanCategory::Measure)
-      measured.push_back(&s);
-
-  DriftReport drift;
-  drift.dropped_spans = dropped_spans;
-  std::map<std::string, DriftRow> by_kernel;
-  const std::size_t joined = std::min(measured.size(), model.trace.size());
-  for (std::size_t i = 0; i < joined; ++i) {
-    const obs::Span& s = *measured[i];
-    const GateTiming& g = model.trace[i];
-    if (g.gate != s.name.data()) {
-      // Positional mismatch: the two sides ran different gate sequences.
-      ++drift.orphan_spans;
-      ++drift.orphan_model;
-      continue;
-    }
-    ++drift.matched;
-    DriftRow& row = by_kernel[g.cost.kernel];
-    row.kernel = g.cost.kernel;
-    ++row.count;
-    row.measured_seconds += static_cast<double>(s.duration_ns) * 1e-9;
-    row.modeled_seconds += g.seconds;
-    // Both bandwidths use the model's line-granular traffic estimate, so
-    // the ratio isolates the *time* disagreement.
-    row.measured_gbps += g.cost.bytes;  // accumulate bytes; divide below
-    row.modeled_gbps += g.cost.bytes;
-  }
-  drift.orphan_spans += measured.size() - joined;
-  drift.orphan_model += model.trace.size() - joined;
-
-  for (auto& [kernel, row] : by_kernel) {
-    const double bytes = row.measured_gbps;
-    row.measured_gbps =
-        row.measured_seconds > 0.0 ? bytes / row.measured_seconds * 1e-9 : 0.0;
-    row.modeled_gbps =
-        row.modeled_seconds > 0.0 ? bytes / row.modeled_seconds * 1e-9 : 0.0;
-    drift.measured_total_seconds += row.measured_seconds;
-    drift.modeled_total_seconds += row.modeled_seconds;
-    drift.rows.push_back(std::move(row));
-  }
-  std::sort(drift.rows.begin(), drift.rows.end(),
-            [](const DriftRow& a, const DriftRow& b) {
-              return a.measured_seconds > b.measured_seconds;
-            });
-  return drift;
-}
-
-Table drift_table(const DriftReport& drift) {
-  std::string title = "Model vs. measured drift";
-  if (drift.partial())
-    title += " (PARTIAL: " + std::to_string(drift.dropped_spans) +
-             " spans dropped)";
-  Table t(title,
-          {"kernel", "gates", "measured_ms", "modeled_ms", "ratio",
-           "measured_GBs", "modeled_GBs"});
-  for (const DriftRow& r : drift.rows) {
-    t.add_row({r.kernel, static_cast<std::int64_t>(r.count),
-               r.measured_seconds * 1e3, r.modeled_seconds * 1e3,
-               r.time_ratio(), r.measured_gbps, r.modeled_gbps});
-  }
-  t.add_row({std::string("TOTAL"),
-             static_cast<std::int64_t>(drift.matched),
-             drift.measured_total_seconds * 1e3,
-             drift.modeled_total_seconds * 1e3, drift.time_ratio(),
-             0.0, 0.0});
-  return t;
-}
-
 Table drift_phase_table(const ProfileReport& report) {
   struct Agg {
     std::size_t phases = 0;
@@ -156,9 +69,13 @@ Table drift_phase_table(const ProfileReport& report) {
     double modeled = 0.0;
     double bytes = 0.0;
   };
-  std::map<sv::PhaseKind, Agg> by_kind;
+  // Keyed by (kind, kernel): the kernel part is empty except for DenseGate
+  // phases, so rows stay in phase-kind order with kernels sorted within.
+  std::map<std::pair<sv::PhaseKind, std::string>, Agg> by_key;
   for (const PhaseProfile& p : report.phases) {
-    Agg& a = by_kind[p.kind];
+    Agg& a = by_key[{p.kind, p.kind == sv::PhaseKind::DenseGate
+                                 ? std::string(p.kernel)
+                                 : std::string()}];
     ++a.phases;
     a.gates += p.gates;
     a.measured += p.measured_seconds;
@@ -169,8 +86,10 @@ Table drift_phase_table(const ProfileReport& report) {
   if (report.partial) title += " (PARTIAL: tracer rings overflowed)";
   Table t(title, {"phase", "count", "gates", "measured_ms", "modeled_ms",
                   "ratio", "measured_GBs"});
-  for (const auto& [kind, a] : by_kind) {
-    t.add_row({std::string(sv::phase_kind_name(kind)),
+  for (const auto& [key, a] : by_key) {
+    std::string label = sv::phase_kind_name(key.first);
+    if (!key.second.empty()) label += "/" + key.second;
+    t.add_row({std::move(label),
                static_cast<std::int64_t>(a.phases),
                static_cast<std::int64_t>(a.gates), a.measured * 1e3,
                a.modeled * 1e3, a.modeled > 0.0 ? a.measured / a.modeled : 0.0,

@@ -1,9 +1,10 @@
 // Rendering of performance-analysis results as tables.
 //
-// Thin formatting layer so examples and benches print consistent output:
-// a PerfReport becomes a per-kernel breakdown table, a gate trace becomes a
-// per-gate listing, and a set of (machine, report) pairs becomes a
-// comparison table.
+// Thin formatting layer so the CLI, examples and benches print consistent
+// output. Every table reads one of the plan-walking results: a PlanCost
+// (perf::cost_plan) becomes a summary, a per-kernel breakdown and a phase
+// listing; a ProfileReport (perf::build_profile_report, the one
+// measured-vs-modeled join) becomes the per-phase drift section.
 #pragma once
 
 #include <cstddef>
@@ -11,93 +12,31 @@
 #include <vector>
 
 #include "common/table.hpp"
-#include "obs/trace.hpp"
 #include "perf/perf_simulator.hpp"
 #include "perf/power_model.hpp"
 
 namespace svsim::perf {
 
 /// Summary line table: totals, achieved GFLOP/s and GB/s.
-Table summary_table(const PerfReport& report);
+Table summary_table(const PlanCost& cost);
 
 /// Per-kernel-class time breakdown (sorted by share, descending).
-Table kernel_breakdown_table(const PerfReport& report);
+Table kernel_breakdown_table(const PlanCost& cost);
 
-/// Per-gate trace listing (requires record_trace at simulation time).
-Table trace_table(const PerfReport& report, std::size_t max_rows = 32);
-
-/// Side-by-side comparison of several labeled runs.
-Table comparison_table(
-    const std::vector<std::pair<std::string, PerfReport>>& runs);
+/// Per-phase listing in plan order, capped at `max_rows`.
+Table trace_table(const PlanCost& cost, std::size_t max_rows = 32);
 
 /// Power summary for labeled runs.
 Table power_table(
     const std::vector<std::pair<std::string, PowerReport>>& runs);
 
-// ---- model-vs-measured drift ------------------------------------------
-//
-// The drift report is the runtime check of the repo's central claim
-// (model ≈ measurement): it joins the spans the tracer recorded during a
-// real run against the per-gate predictions of the same prepared circuit
-// and aggregates the comparison per kernel class.
-
-/// Per-kernel-class comparison row.
-struct DriftRow {
-  std::string kernel;           ///< kernel-class name (from the model)
-  std::size_t count = 0;        ///< gates joined into this row
-  double measured_seconds = 0.0;
-  double modeled_seconds = 0.0;
-  double measured_gbps = 0.0;   ///< model traffic / measured time
-  double modeled_gbps = 0.0;    ///< model traffic / modeled time
-
-  /// measured / modeled time (>1 = slower than the model predicts).
-  double time_ratio() const noexcept {
-    return modeled_seconds > 0.0 ? measured_seconds / modeled_seconds : 0.0;
-  }
-};
-
-struct DriftReport {
-  std::vector<DriftRow> rows;   ///< sorted by measured time, descending
-  double measured_total_seconds = 0.0;
-  double modeled_total_seconds = 0.0;
-  std::size_t matched = 0;       ///< spans joined one-to-one with the model
-  std::size_t orphan_spans = 0;  ///< measured spans with no model partner
-  std::size_t orphan_model = 0;  ///< modeled gates with no measured span
-  /// Spans the tracer lost to ring wraparound before the join. When
-  /// nonzero the positional join is unreliable: the surviving spans no
-  /// longer line up with the model trace one-to-one.
-  std::size_t dropped_spans = 0;
-
-  /// True when the join ran on an incomplete span stream.
-  bool partial() const noexcept { return dropped_spans > 0; }
-
-  double time_ratio() const noexcept {
-    return modeled_total_seconds > 0.0
-               ? measured_total_seconds / modeled_total_seconds
-               : 0.0;
-  }
-};
-
-/// Joins measured spans (Kernel/Measure categories, in record order)
-/// positionally against `model.trace` (requires record_trace). Both sides
-/// must come from the same prepared circuit — same fusion settings — or
-/// the mismatches surface as orphans. Pass the tracer's `dropped()` count
-/// so a wrapped ring marks the report partial instead of silently joining
-/// a truncated stream.
-DriftReport drift_report(const PerfReport& model,
-                         const std::vector<obs::Span>& spans,
-                         std::size_t dropped_spans = 0);
-
-/// Per-kernel modeled-vs-measured table plus a totals row.
-Table drift_table(const DriftReport& drift);
-
 struct ProfileReport;  // perf/profile_report.hpp
 
-/// Per-phase drift section: the plan-phase counterpart of drift_table.
-/// Where the per-kernel join above compares gate classes across the whole
-/// run, this attributes the drift to the ExecutionPlan phases a profiled
-/// run actually executed (one row per phase kind, aggregated). Carries the
-/// same PARTIAL marker when the profiled run lost tracer spans.
+/// Model-vs-measured drift of a profiled run, aggregated per phase kind;
+/// DenseGate phases are further split by kernel class ("dense_gate/h",
+/// "dense_gate/cx", ...) so a per-gate run still shows which kernels the
+/// model misprices. Title carries a PARTIAL marker when the profiled run
+/// lost tracer spans.
 Table drift_phase_table(const ProfileReport& report);
 
 }  // namespace svsim::perf

@@ -205,8 +205,8 @@ void run_sweep(StateVector<T>& state, const Gate* gates, std::size_t count,
   run_sweep_prepared(state, prepared.data(), count, block_qubits);
 
   // One read + one write of the state serves the whole sweep (in-block
-  // traffic stays in cache); this is the bytes label the drift report and
-  // trace viewers see for the sweep span.
+  // traffic stays in cache); this is the bytes label trace viewers see
+  // for the sweep span.
   const std::uint64_t traversal_bytes =
       2 * pow2(n) * std::uint64_t{2 * sizeof(T)};
   observe_sweep(ctx.metrics(), count, traversal_bytes);

@@ -11,7 +11,7 @@
 //    it is cache-resident. k gates cost ~1 traversal instead of k.
 //  * DenseGate phases fall back to the whole-state kernels via apply_gate;
 //    every gate records its tracer span and counts toward the stats (so
-//    drift reports see blocked and unblocked runs alike).
+//    traces see blocked and unblocked runs alike).
 //  * Exchange phases with moves_data perform the slot swaps on the full
 //    state — exactly the data movement the pairwise rank exchange performs;
 //    cost-only exchanges are skipped.
@@ -29,7 +29,6 @@
 #include "qc/gate.hpp"
 #include "sv/plan.hpp"
 #include "sv/state_vector.hpp"
-#include "sv/sweep.hpp"
 
 namespace svsim::sv {
 

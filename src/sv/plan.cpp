@@ -37,6 +37,14 @@ bool measure_gate(const Gate& g) {
   return g.kind == GateKind::MEASURE || g.kind == GateKind::RESET;
 }
 
+/// True if the blocked engine may apply `g` inside a 2^b-amplitude block:
+/// a unitary operation whose operands all lie strictly below bit `b`.
+/// I/BARRIER are excluded (free as DenseGate phases, they would only
+/// inflate sweep bookkeeping); MEASURE/RESET need the simulator's RNG.
+bool block_local(const Gate& g, unsigned b) {
+  return g.is_unitary_op() && !free_gate(g) && g.max_qubit() < b;
+}
+
 }  // namespace
 
 std::string ExecutionPlan::summary_id() const {
@@ -220,43 +228,57 @@ std::uint64_t plan_cache_budget(const PlanOptions& options) {
     const std::uint64_t budget = options.machine->cache_budget_per_core_bytes();
     if (budget != 0) return budget;
   }
-  return SweepOptions{}.cache_bytes;
+  return kDefaultCacheBytes;
 }
 
 void append_window_phases(ExecutionPlan& plan, std::vector<Gate> gates,
                           const PlanOptions& options) {
   if (gates.empty()) return;
-  if (plan.block_qubits == 0) {
-    for (auto& g : gates) {
-      PlanPhase phase;
-      phase.kind = PhaseKind::DenseGate;
-      phase.gates.push_back(std::move(g));
-      plan.phases.push_back(std::move(phase));
-    }
+  auto push_dense = [&plan](Gate&& g) {
+    PlanPhase phase;
+    phase.kind = PhaseKind::DenseGate;
+    phase.gates.push_back(std::move(g));
+    plan.phases.push_back(std::move(phase));
+  };
+  const unsigned b = plan.block_qubits;
+  if (b == 0) {
+    for (auto& g : gates) push_dense(std::move(g));
     return;
   }
-  SweepOptions so;
-  so.block_qubits = plan.block_qubits;
-  so.amp_bytes = options.amp_bytes;
-  so.max_sweep_gates = options.max_sweep_gates;
-  so.min_free_qubits = options.min_free_qubits;
-  so.metrics = options.metrics;
-  SweepPlan sweeps = plan_sweeps(gates, plan.num_qubits, so);
-  for (auto& step : sweeps.steps) {
-    if (step.blocked) {
-      PlanPhase phase;
-      phase.kind = PhaseKind::LocalSweep;
-      phase.gates = std::move(step.gates);
-      plan.phases.push_back(std::move(phase));
+  require(options.max_sweep_gates >= 1,
+          "append_window_phases: max_sweep_gates must be >= 1");
+
+  // Sweep grouping: runs of consecutive block-local gates become LocalSweep
+  // phases (split at max_sweep_gates, each split still one traversal);
+  // every other gate is its own DenseGate phase. Gates are never reordered.
+  std::size_t blocked_gates = 0;
+  std::size_t passthrough_gates = 0;
+  PlanPhase sweep;
+  auto flush = [&] {
+    if (sweep.gates.empty()) return;
+    blocked_gates += sweep.gates.size();
+    sweep.kind = PhaseKind::LocalSweep;
+    plan.phases.push_back(std::move(sweep));
+    sweep = PlanPhase{};
+  };
+  for (auto& g : gates) {
+    if (block_local(g, b)) {
+      if (sweep.gates.size() >= options.max_sweep_gates) flush();
+      sweep.gates.push_back(std::move(g));
       continue;
     }
-    for (auto& g : step.gates) {
-      PlanPhase phase;
-      phase.kind = PhaseKind::DenseGate;
-      phase.gates.push_back(std::move(g));
-      plan.phases.push_back(std::move(phase));
-    }
+    flush();
+    if (!free_gate(g)) ++passthrough_gates;
+    push_dense(std::move(g));
   }
+  flush();
+
+  // Grouping telemetry: how much of the window the blocked path captured.
+  auto& registry = options.metrics != nullptr ? *options.metrics
+                                              : obs::MetricsRegistry::global();
+  registry.counter("sweep.plans").increment();
+  registry.counter("sweep.blocked_gates").add(blocked_gates);
+  registry.counter("sweep.passthrough_gates").add(passthrough_gates);
 }
 
 // Handles resolve per call against the caller's registry — no function-

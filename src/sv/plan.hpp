@@ -17,10 +17,14 @@
 // Two compilers produce it: `compile_plan` for one node (fusion -> sweep
 // grouping; zero Exchange phases) and `dist::compile_distributed`, the
 // only distributed compiler (fusion -> naive or Belady-remap exchange
-// placement -> sweep grouping per exchange window).
-// Executors — sv::run_plan for amplitudes, dist::time_plan /
-// event_driven_makespan for modeled time, perf::cost_plan for first
-// principles — all walk this one IR; none keeps a private dispatch loop.
+// placement -> sweep grouping per exchange window). Both group sweeps
+// through `append_window_phases`; there is no second plan type.
+// Every consumer walks this one IR and none keeps a private gate loop:
+// sv::run_plan for amplitudes, perf::cost_plan for the first-principles
+// model (and, through it, the power model and the `project` tables),
+// dist::time_plan for modeled distributed time (BSP sums plus, with a
+// straggler or timeline recorder, per-rank clocks), and
+// perf::build_profile_report for the measured-vs-modeled join.
 //
 // Distributed plans express gates in *slot space*: operand q names the slot
 // holding a logical qubit, slots [local_qubits, num_qubits) live in the
@@ -42,6 +46,10 @@
 
 namespace svsim::machine {
 struct MachineSpec;
+}
+
+namespace svsim::obs {
+class MetricsRegistry;
 }
 
 namespace svsim::sv {
@@ -149,12 +157,16 @@ struct PlanOptions {
   /// Block size in qubits; 0 = auto from the cache budget.
   unsigned block_qubits = 0;
   /// Cache budget for auto block sizing. 0 = derive from `machine`
-  /// (per-core share of its last-level cache) when given, else the
-  /// SweepOptions 512 KiB default.
+  /// (per-core share of its last-level cache) when given, else
+  /// kDefaultCacheBytes (512 KiB).
   std::uint64_t cache_bytes = 0;
-  /// Bytes per amplitude (16 = complex<double>).
+  /// Bytes per amplitude (16 = complex<double>, 8 = complex<float>).
   unsigned amp_bytes = 16;
+  /// Upper bound on gates per LocalSweep (bounds prepared-gate storage;
+  /// longer runs split, each split still amortizing one traversal).
   unsigned max_sweep_gates = 64;
+  /// Auto block sizing keeps at least 2^min_free_qubits blocks when the
+  /// register allows, so the per-block loop still parallelizes.
   unsigned min_free_qubits = 3;
   /// Machine whose cache topology sizes the blocks (borrowed; optional).
   const machine::MachineSpec* machine = nullptr;
@@ -176,8 +188,12 @@ struct PlanOptions {
 std::uint64_t plan_cache_budget(const PlanOptions& options);
 
 /// Compiler building block shared with dist::compile_distributed: appends
-/// the compute phases (LocalSweep / DenseGate) for one exchange-free window
-/// of slot-space gates, sweep-grouped when plan.block_qubits > 0.
+/// the compute phases for one exchange-free window of slot-space gates.
+/// With plan.block_qubits > 0, each run of consecutive block-local gates
+/// (unitary, every operand below the block boundary) becomes one
+/// LocalSweep phase of at most max_sweep_gates gates; every other gate is
+/// its own DenseGate phase. Gates are never reordered. Publishes the
+/// sweep.plans / sweep.blocked_gates / sweep.passthrough_gates counters.
 void append_window_phases(ExecutionPlan& plan, std::vector<qc::Gate> gates,
                           const PlanOptions& options);
 

@@ -50,7 +50,7 @@ struct SimulatorOptions {
   /// non-empty, since channels sample after every gate.
   bool blocking = false;
   /// Block size in qubits for the blocked engine; 0 = auto from the cache
-  /// budget (see SweepOptions).
+  /// budget (see sv::PlanOptions).
   unsigned block_qubits = 0;
   /// Machine whose cache topology sizes auto blocks (borrowed; optional).
   /// When unset the plan compiler falls back to the 512 KiB default.

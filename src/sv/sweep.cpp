@@ -4,12 +4,8 @@
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace svsim::sv {
-
-using qc::Gate;
-using qc::GateKind;
 
 unsigned auto_block_qubits(unsigned num_qubits, std::uint64_t cache_bytes,
                            unsigned amp_bytes, unsigned min_free) {
@@ -19,98 +15,6 @@ unsigned auto_block_qubits(unsigned num_qubits, std::uint64_t cache_bytes,
   // Leave min_free qubits of blocks for the thread pool when possible.
   if (num_qubits > min_free) b = std::min(b, num_qubits - min_free);
   return std::max(1u, std::min(b, num_qubits));
-}
-
-namespace {
-
-/// True if the blocked engine may apply `g` inside a 2^b-amplitude block:
-/// a unitary operation whose operands all lie strictly below bit `b`.
-/// BARRIER/I are excluded (they are free as pass-throughs and would only
-/// inflate sweep bookkeeping); MEASURE/RESET need the simulator's RNG.
-bool block_local(const Gate& g, unsigned b) {
-  if (!g.is_unitary_op() || g.kind == GateKind::I ||
-      g.kind == GateKind::BARRIER) {
-    return false;
-  }
-  return g.max_qubit() < b;
-}
-
-bool free_passthrough(const Gate& g) {
-  return g.kind == GateKind::I || g.kind == GateKind::BARRIER;
-}
-
-}  // namespace
-
-std::size_t SweepPlan::traversals() const noexcept {
-  std::size_t t = 0;
-  for (const auto& step : steps) {
-    if (step.blocked) {
-      ++t;
-    } else {
-      for (const auto& g : step.gates)
-        if (!free_passthrough(g)) ++t;
-    }
-  }
-  return t;
-}
-
-double SweepPlan::gates_per_traversal() const noexcept {
-  const std::size_t t = traversals();
-  return t == 0 ? 0.0
-               : static_cast<double>(blocked_gates + passthrough_gates) /
-                     static_cast<double>(t);
-}
-
-SweepPlan plan_sweeps(const qc::Circuit& circuit, const SweepOptions& options) {
-  return plan_sweeps(circuit.gates(), circuit.num_qubits(), options);
-}
-
-SweepPlan plan_sweeps(const std::vector<Gate>& gates, unsigned num_qubits,
-                      const SweepOptions& options) {
-  require(options.max_sweep_gates >= 1,
-          "plan_sweeps: max_sweep_gates must be >= 1");
-  const unsigned n = num_qubits;
-  SweepPlan plan;
-  plan.block_qubits =
-      options.block_qubits != 0
-          ? std::min(options.block_qubits, n)
-          : auto_block_qubits(n, options.cache_bytes, options.amp_bytes,
-                              options.min_free_qubits);
-
-  SweepStep current;
-  current.blocked = true;
-  auto flush = [&] {
-    if (current.gates.empty()) return;
-    plan.blocked_gates += current.gates.size();
-    plan.steps.push_back(std::move(current));
-    current = SweepStep{};
-    current.blocked = true;
-  };
-
-  for (const auto& g : gates) {
-    if (block_local(g, plan.block_qubits)) {
-      if (current.gates.size() >= options.max_sweep_gates) flush();
-      current.gates.push_back(g);
-      continue;
-    }
-    flush();
-    SweepStep pass;
-    pass.blocked = false;
-    pass.gates.push_back(g);
-    if (!free_passthrough(g)) ++plan.passthrough_gates;
-    plan.steps.push_back(std::move(pass));
-  }
-  flush();
-
-  // Planner telemetry: how much of the circuit the blocked path captured.
-  // Handles are resolved per call (no function-local statics) so they land
-  // in whichever registry the caller's context carries.
-  auto& registry = options.metrics != nullptr ? *options.metrics
-                                              : obs::MetricsRegistry::global();
-  registry.counter("sweep.plans").increment();
-  registry.counter("sweep.blocked_gates").add(plan.blocked_gates);
-  registry.counter("sweep.passthrough_gates").add(plan.passthrough_gates);
-  return plan;
 }
 
 }  // namespace svsim::sv

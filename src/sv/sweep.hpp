@@ -1,4 +1,4 @@
-// Sweep planner: groups gates into cache-blocked execution steps.
+// Cache-block sizing for LocalSweep phases.
 //
 // State-vector simulation is memory-bandwidth-bound (~0.44 flop/byte for a
 // general 1-qubit gate), so once fusion has raised per-gate arithmetic
@@ -10,87 +10,24 @@
 // which fits in L2 by construction — before moving to the next, so k gates
 // cost one traversal of the state instead of k.
 //
-// The planner is a pure function circuit -> SweepPlan; it never reorders
-// gates, so a plan is exactly equivalent to the input circuit. Gates that do
-// not qualify (operand at or above the block boundary, MEASURE/RESET) become
-// single-gate pass-through steps executed by the whole-state kernels.
+// The grouping itself is part of the plan compiler (sv/plan.hpp,
+// `append_window_phases`), which emits each sweep as a LocalSweep phase.
+// This header keeps the block-size rule the compiler and the benches share.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <vector>
-
-#include "qc/circuit.hpp"
-
-namespace svsim::obs {
-class MetricsRegistry;
-}
 
 namespace svsim::sv {
 
-struct SweepOptions {
-  /// Block size in qubits; a block is 2^block_qubits contiguous amplitudes.
-  /// 0 = derive from `cache_bytes` via auto_block_qubits().
-  unsigned block_qubits = 0;
-  /// Per-core cache budget the working block must fit in (used only when
-  /// block_qubits == 0). Default 512 KiB: comfortably inside an A64FX CMG's
-  /// 8 MiB L2 share (~680 KiB/core) and typical x86 private L2 sizes.
-  std::uint64_t cache_bytes = 512u * 1024u;
-  /// Bytes per amplitude (16 = complex<double>, 8 = complex<float>).
-  unsigned amp_bytes = 16;
-  /// Upper bound on gates per sweep (bounds prepared-gate storage; sweeps
-  /// longer than this split, each split still amortizing one traversal).
-  unsigned max_sweep_gates = 64;
-  /// Keep at least 2^min_free_qubits blocks when the register allows, so
-  /// the per-block loop still parallelizes across the pool.
-  unsigned min_free_qubits = 3;
-  /// Registry planner telemetry publishes to (borrowed); nullptr = the
-  /// process-wide registry. Set from ExecutionContext::metrics() when
-  /// compiling under a per-context registry.
-  obs::MetricsRegistry* metrics = nullptr;
-};
+/// Default per-core cache budget a block must fit in: comfortably inside an
+/// A64FX CMG's 8 MiB L2 share (~680 KiB/core) and typical x86 private L2
+/// sizes. Used when neither the caller nor a machine description gives one.
+inline constexpr std::uint64_t kDefaultCacheBytes = 512u * 1024u;
 
 /// Largest block exponent whose block (2^b amplitudes of `amp_bytes`) fits
 /// in `cache_bytes`, clamped to keep >= 2^min_free qubits of parallelism on
 /// an n-qubit register (never below 1, never above n).
 unsigned auto_block_qubits(unsigned num_qubits, std::uint64_t cache_bytes,
                            unsigned amp_bytes, unsigned min_free);
-
-/// One execution step of a plan.
-struct SweepStep {
-  /// Gates applied by this step, in circuit order.
-  std::vector<qc::Gate> gates;
-  /// True: every gate's operands are below the plan's block_qubits and the
-  /// engine applies them block-by-block in one state traversal. False: a
-  /// single gate executed by the whole-state kernel dispatch (includes
-  /// MEASURE/RESET, which need the Simulator's RNG).
-  bool blocked = false;
-};
-
-/// Execution plan for a circuit. Equivalent to the circuit gate-for-gate.
-struct SweepPlan {
-  unsigned block_qubits = 0;
-  std::vector<SweepStep> steps;
-  std::size_t blocked_gates = 0;      ///< gates inside blocked steps
-  std::size_t passthrough_gates = 0;  ///< gates in pass-through steps
-
-  /// State traversals the plan performs: one per blocked step, one per
-  /// pass-through gate (BARRIER/I pass-throughs are free and not counted).
-  std::size_t traversals() const noexcept;
-
-  /// Effective gates applied per state traversal — the figure of merit the
-  /// blocked engine raises (1.0 for an unblocked plan).
-  double gates_per_traversal() const noexcept;
-};
-
-/// Plans the execution of `circuit` (normally post-fusion). Pure; does not
-/// reorder gates. With options.block_qubits == 0 the block size is derived
-/// from the cache budget.
-SweepPlan plan_sweeps(const qc::Circuit& circuit, const SweepOptions& options);
-
-/// Same, over a bare gate sequence on an n-qubit register. This is the form
-/// the plan compiler calls once per exchange-free window.
-SweepPlan plan_sweeps(const std::vector<qc::Gate>& gates, unsigned num_qubits,
-                      const SweepOptions& options);
 
 }  // namespace svsim::sv

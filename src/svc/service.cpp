@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <istream>
 #include <limits>
@@ -12,6 +13,8 @@
 #include <thread>
 #include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -37,6 +40,19 @@ using Clock = std::chrono::steady_clock;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
+}
+
+/// Physical memory of the host in bytes, read once; +inf when unknown (no
+/// memory admission then).
+double host_memory_bytes() {
+  static const double bytes = [] {
+    const long pages = sysconf(_SC_PHYS_PAGES);
+    const long page_size = sysconf(_SC_PAGE_SIZE);
+    return pages > 0 && page_size > 0
+               ? static_cast<double>(pages) * static_cast<double>(page_size)
+               : std::numeric_limits<double>::infinity();
+  }();
+  return bytes;
 }
 
 /// True if every MEASURE comes after every non-measure operation (the same
@@ -233,6 +249,27 @@ JobResult Service::execute(const JobRequest& request,
           "job: precision must be f64 or f32");
   const unsigned element_bytes = precision == "f32" ? 4 : 8;
   result.precision = precision;
+
+  // ---- Memory admission (before fingerprint and compile) ----------------
+  // Every execution holds all 2^n amplitudes in this process, simulated
+  // distributed plans included; a state beyond physical memory would only
+  // fail in allocation after its plan was compiled and cached.
+  const double state_gib =
+      std::ldexp(2.0 * element_bytes,
+                 static_cast<int>(request.circuit.num_qubits()) - 30);
+  const double memory_gib = std::ldexp(host_memory_bytes(), -30);
+  if (state_gib > memory_gib) {
+    result.ok = false;
+    result.error_code = "admission_rejected";
+    char buf[160];
+    std::snprintf(buf, sizeof(buf),
+                  "the %s state needs %.3g GiB, above the host's %.3g GiB "
+                  "of physical memory",
+                  precision.c_str(), state_gib, memory_gib);
+    result.error_message = buf;
+    result.total_seconds = seconds_since(job_start);
+    return result;
+  }
 
   // Normalize the way `svsim run` does: a purely unitary circuit measures
   // every qubit, so counts always key on the classical register.

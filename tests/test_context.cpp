@@ -109,7 +109,7 @@ TEST(ExecutionContext, TimePlanMetricsFollowContext) {
   obs::MetricsRegistry mine;
   ExecutionContext ctx;
   ctx.with_metrics(mine);
-  dist::time_plan(plan, m, {}, net, ctx);
+  dist::time_plan(plan, m, {}, net, {}, nullptr, ctx);
   EXPECT_EQ(mine.counter("dist.plan_evals").value(), 1u);
   // The embedded cost-model evaluation threads through the same context.
   EXPECT_EQ(mine.counter("perf.plan_cost_evals").value(), 1u);

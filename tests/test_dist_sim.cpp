@@ -79,19 +79,28 @@ TEST(DistSim, EventDrivenMatchesBspWithoutStraggler) {
   const qc::Circuit c = qc::qft(16);
   const sv::ExecutionPlan plan = compile(c, 3, CommScheduler::Naive);
   const DistTiming bsp = time_plan(plan, kA64fx, {}, kTofu);
-  const double makespan = event_driven_makespan(plan, kA64fx, {}, kTofu);
-  EXPECT_NEAR(makespan, bsp.total_seconds, bsp.total_seconds * 1e-9);
+  // Without a straggler or recorder the clocks do not run: zero skew.
+  EXPECT_EQ(bsp.makespan_seconds, bsp.total_seconds);
+  // A straggler slowed by 1.0 runs the per-rank clocks without skewing
+  // them; the rendezvous walk lands on the BSP total.
+  StragglerConfig s;
+  s.node = 5;
+  const DistTiming clocked = time_plan(plan, kA64fx, {}, kTofu, s);
+  EXPECT_NEAR(clocked.makespan_seconds, bsp.total_seconds,
+              bsp.total_seconds * 1e-9);
+  EXPECT_EQ(clocked.total_seconds, bsp.total_seconds);
 }
 
 TEST(DistSim, StragglerDelayPropagatesThroughExchanges) {
   const qc::Circuit c = qc::qft(16);
   const sv::ExecutionPlan plan = compile(c, 3, CommScheduler::Naive);
   ASSERT_GT(plan.num_exchanges, 0u);
-  const double clean = event_driven_makespan(plan, kA64fx, {}, kTofu);
+  const double clean = time_plan(plan, kA64fx, {}, kTofu).makespan_seconds;
   StragglerConfig s;
   s.node = 5;
   s.slowdown = 3.0;
-  const double slowed = event_driven_makespan(plan, kA64fx, {}, kTofu, s);
+  const double slowed =
+      time_plan(plan, kA64fx, {}, kTofu, s).makespan_seconds;
   EXPECT_GT(slowed, clean);
   // The whole machine ends no later than if every node were 3x slower.
   EXPECT_LT(slowed, 3.0 * clean + 1e-9);
@@ -104,8 +113,9 @@ TEST(DistSim, StragglerWithoutExchangesOnlyDelaysItself) {
   StragglerConfig s;
   s.node = 0;
   s.slowdown = 2.0;
-  const double clean = event_driven_makespan(plan, kA64fx, {}, kTofu);
-  const double slowed = event_driven_makespan(plan, kA64fx, {}, kTofu, s);
+  const double clean = time_plan(plan, kA64fx, {}, kTofu).makespan_seconds;
+  const double slowed =
+      time_plan(plan, kA64fx, {}, kTofu, s).makespan_seconds;
   EXPECT_NEAR(slowed, 2.0 * clean, clean * 1e-6);
 }
 

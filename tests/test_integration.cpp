@@ -14,6 +14,7 @@
 #include "qc/library.hpp"
 #include "qc/qasm.hpp"
 #include "sv/kernels.hpp"
+#include "sv/plan.hpp"
 #include "sv/simulator.hpp"
 
 namespace svsim {
@@ -93,15 +94,13 @@ TEST(Integration, PerfPipelineRanksMachinesLikeStream) {
   // For a memory-bound circuit the machine ranking must follow STREAM:
   // A64FX > ThunderX2 > Xeon.
   const qc::Circuit c = qc::qft(26);
-  const double t_a64 =
-      perf::simulate_circuit(c, machine::MachineSpec::a64fx(), {})
-          .total_seconds;
-  const double t_tx2 =
-      perf::simulate_circuit(c, machine::MachineSpec::thunderx2_dual(), {})
-          .total_seconds;
-  const double t_xeon =
-      perf::simulate_circuit(c, machine::MachineSpec::xeon_6148_dual(), {})
-          .total_seconds;
+  const sv::ExecutionPlan plan = sv::compile_plan(c, {});
+  const auto seconds_on = [&](const machine::MachineSpec& m) {
+    return perf::cost_plan(plan, m, {}).compute_seconds;
+  };
+  const double t_a64 = seconds_on(machine::MachineSpec::a64fx());
+  const double t_tx2 = seconds_on(machine::MachineSpec::thunderx2_dual());
+  const double t_xeon = seconds_on(machine::MachineSpec::xeon_6148_dual());
   EXPECT_LT(t_a64, t_tx2);
   EXPECT_LT(t_tx2, t_xeon);
 }
@@ -145,21 +144,24 @@ TEST(Integration, DistributedQftProjectionEndToEnd) {
     const auto t = dist::time_plan(plan, machine::MachineSpec::a64fx(), {},
                                    dist::InterconnectSpec::tofu_d());
     EXPECT_GT(t.total_seconds, 0.0) << dist::scheduler_name(sched);
-    const double makespan = dist::event_driven_makespan(
-        plan, machine::MachineSpec::a64fx(), {},
-        dist::InterconnectSpec::tofu_d());
+    // A unit straggler runs the per-rank clocks without skewing them.
+    dist::StragglerConfig unit;
+    unit.node = 0;
+    const double makespan =
+        dist::time_plan(plan, machine::MachineSpec::a64fx(), {},
+                        dist::InterconnectSpec::tofu_d(), unit)
+            .makespan_seconds;
     EXPECT_NEAR(makespan, t.total_seconds, t.total_seconds * 1e-6);
   }
 }
 
 TEST(Integration, PowerPerfEnergySweepIsConsistent) {
   const qc::Circuit c = qc::qft(24);
-  const auto normal = perf::estimate_power(
-      c, machine::MachineSpec::a64fx(), {});
-  const auto report = perf::simulate_circuit(
-      c, machine::MachineSpec::a64fx(), {});
-  EXPECT_NEAR(normal.seconds, report.total_seconds,
-              report.total_seconds * 1e-9);
+  const auto m = machine::MachineSpec::a64fx();
+  const auto report = perf::cost_plan(sv::compile_plan(c, {}), m, {});
+  const auto normal = perf::estimate_power(report, m);
+  EXPECT_NEAR(normal.seconds, report.compute_seconds,
+              report.compute_seconds * 1e-9);
 }
 
 TEST(Integration, GroverWithNoiseDegradesSuccess) {

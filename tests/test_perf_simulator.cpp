@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "qc/library.hpp"
+#include "sv/plan.hpp"
 
 namespace svsim::perf {
 namespace {
@@ -12,6 +15,16 @@ using machine::ExecConfig;
 using machine::MachineSpec;
 
 const MachineSpec kA64fx = MachineSpec::a64fx();
+
+/// Whole-circuit model: compiled without blocking (one phase per gate,
+/// fused first when `fusion_width` > 0) and walked by cost_plan.
+PlanCost model(const qc::Circuit& c, const MachineSpec& m,
+               const ExecConfig& cfg = {}, unsigned fusion_width = 0) {
+  sv::PlanOptions po;
+  po.fusion = fusion_width > 0;
+  if (po.fusion) po.fusion_width = fusion_width;
+  return cost_plan(sv::compile_plan(c, po), m, cfg);
+}
 
 TEST(PerfSimulator, GateTimeIsPositiveAndBandwidthBounded) {
   ExecConfig cfg;
@@ -92,30 +105,58 @@ TEST(PerfSimulator, LowTargetQubitIsSlowerInCache) {
 
 TEST(PerfSimulator, CircuitReportAggregates) {
   const qc::Circuit c = qc::qft(20);
-  ExecConfig cfg;
-  PerfOptions opts;
-  opts.record_trace = true;
-  const PerfReport r = simulate_circuit(c, kA64fx, cfg, opts);
+  const PlanCost r = model(c, kA64fx);
   EXPECT_EQ(r.num_gates, c.size());
-  EXPECT_EQ(r.trace.size(), c.size());
-  EXPECT_GT(r.total_seconds, 0.0);
+  EXPECT_EQ(r.phases.size(), c.size());
+  EXPECT_GT(r.compute_seconds, 0.0);
   EXPECT_GT(r.achieved_gflops(), 0.0);
   EXPECT_GT(r.achieved_bandwidth_gbps(), 0.0);
-  // Sum of per-kernel seconds equals the total.
+  // Sum of per-phase seconds equals the total; every phase names a kernel.
   double sum = 0.0;
-  for (const auto& [k, s] : r.seconds_by_kernel) sum += s;
-  EXPECT_NEAR(sum, r.total_seconds, 1e-12);
+  for (const PhaseCost& p : r.phases) {
+    sum += p.seconds;
+    EXPECT_STRNE(p.kernel, "");
+    EXPECT_LE(p.compute_seconds, p.seconds);
+  }
+  EXPECT_NEAR(sum, r.compute_seconds, 1e-12);
+}
+
+TEST(CostPlan, UnblockedPlanCostsTheSumOfItsGateTimes) {
+  // Without blocking every compiled gate is its own phase, so the plan
+  // total is Σ time_gate over the gates, summed in plan order — the
+  // per-gate circuit walk, bit for bit.
+  const unsigned n = 16;
+  const std::vector<qc::Circuit> circuits = {
+      qc::qft(n), qc::random_quantum_volume(n, 6, 9),
+      qc::qaoa_maxcut(n, qc::ring_graph(n), {0.8, 0.6}, {0.4, 0.3})};
+  for (const qc::Circuit& c : circuits) {
+    for (const bool fusion : {false, true}) {
+      sv::PlanOptions po;
+      po.fusion = fusion;
+      po.fusion_width = 4;
+      const sv::ExecutionPlan plan = sv::compile_plan(c, po);
+      double seconds = 0.0;
+      double flops = 0.0;
+      for (const sv::PlanPhase& phase : plan.phases) {
+        for (const qc::Gate& g : phase.gates) {
+          const GateTiming t = time_gate(g, n, kA64fx, {});
+          seconds += t.seconds;
+          flops += t.cost.flops;
+        }
+      }
+      const PlanCost cost = cost_plan(plan, kA64fx, {});
+      EXPECT_EQ(cost.compute_seconds, seconds) << "fusion=" << fusion;
+      EXPECT_EQ(cost.total_flops, flops) << "fusion=" << fusion;
+      EXPECT_EQ(cost.phases.size(), plan.phases.size());
+    }
+  }
 }
 
 TEST(PerfSimulator, FusionReducesModeledTime) {
   const qc::Circuit c = qc::random_quantum_volume(24, 8, 5);
   ExecConfig cfg;
-  PerfOptions plain;
-  PerfOptions fused;
-  fused.fusion = true;
-  fused.fusion_width = 4;
-  const double t_plain = simulate_circuit(c, kA64fx, cfg, plain).total_seconds;
-  const double t_fused = simulate_circuit(c, kA64fx, cfg, fused).total_seconds;
+  const double t_plain = model(c, kA64fx, cfg).compute_seconds;
+  const double t_fused = model(c, kA64fx, cfg, 4).compute_seconds;
   EXPECT_LT(t_fused, t_plain);
 }
 
@@ -124,10 +165,9 @@ TEST(PerfSimulator, A64fxBeatsXeonOnBigStates) {
   const qc::Circuit c = qc::qft(28);
   ExecConfig a64;
   ExecConfig xeon_cfg;
-  const double t_a64 = simulate_circuit(c, kA64fx, a64).total_seconds;
+  const double t_a64 = model(c, kA64fx, a64).compute_seconds;
   const double t_xeon =
-      simulate_circuit(c, MachineSpec::xeon_6148_dual(), xeon_cfg)
-          .total_seconds;
+      model(c, MachineSpec::xeon_6148_dual(), xeon_cfg).compute_seconds;
   EXPECT_GT(t_xeon / t_a64, 2.5);
   EXPECT_LT(t_xeon / t_a64, 6.0);
 }
@@ -153,18 +193,18 @@ TEST(PerfSimulator, VectorLengthMattersOnlyInCacheRegime) {
 TEST(PerfSimulator, BoostModeSpeedsUpCacheResidentWork) {
   const qc::Circuit c = qc::qft(14);  // L1/L2-resident
   ExecConfig cfg;
-  const double t_norm = simulate_circuit(c, kA64fx, cfg).total_seconds;
+  const double t_norm = model(c, kA64fx, cfg).compute_seconds;
   const double t_boost =
-      simulate_circuit(c, MachineSpec::a64fx_boost(), cfg).total_seconds;
+      model(c, MachineSpec::a64fx_boost(), cfg).compute_seconds;
   EXPECT_LT(t_boost, t_norm);
 }
 
 TEST(PerfSimulator, EcoModeBarelyHurtsMemoryBoundWork) {
   const qc::Circuit c = qc::qft(28);  // HBM-resident
   ExecConfig cfg;
-  const double t_norm = simulate_circuit(c, kA64fx, cfg).total_seconds;
+  const double t_norm = model(c, kA64fx, cfg).compute_seconds;
   const double t_eco =
-      simulate_circuit(c, MachineSpec::a64fx_eco(), cfg).total_seconds;
+      model(c, MachineSpec::a64fx_eco(), cfg).compute_seconds;
   EXPECT_LT(t_eco / t_norm, 1.10);  // within 10%
 }
 

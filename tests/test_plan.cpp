@@ -49,12 +49,12 @@ TEST(PlanCacheBudget, MachineDerivesPerCoreShare) {
   PlanOptions po;
   po.machine = &m;
   EXPECT_EQ(plan_cache_budget(po), m.cache_budget_per_core_bytes());
-  EXPECT_GT(plan_cache_budget(po), SweepOptions{}.cache_bytes);
+  EXPECT_GT(plan_cache_budget(po), kDefaultCacheBytes);
 }
 
 TEST(PlanCacheBudget, FallsBackToSweepDefault) {
-  EXPECT_EQ(plan_cache_budget(PlanOptions{}), SweepOptions{}.cache_bytes);
-  EXPECT_EQ(SweepOptions{}.cache_bytes, 512u * 1024u);
+  EXPECT_EQ(plan_cache_budget(PlanOptions{}), kDefaultCacheBytes);
+  EXPECT_EQ(kDefaultCacheBytes, 512u * 1024u);
 }
 
 /// Pins SVSIM_CACHE_BUDGET and the probe override for one test, restoring

@@ -274,29 +274,60 @@ ProfiledRun profiled_blocked_qft() {
 }
 
 TEST(ProfileReport, JoinsEveryPhaseAndNormalizesShares) {
-  const auto r = profiled_blocked_qft();
+  // A blocked plan, and a fused per-gate plan whose DenseGate phases the
+  // drift table splits by kernel class.
+  const qc::Circuit qft = qc::qft(10);
+  sv::PlanOptions fused;
+  fused.fusion = true;
+  fused.fusion_width = 3;
+  std::vector<ProfiledRun> runs;
+  runs.push_back(profiled_blocked_qft());
+  runs.push_back(profile_circuit(qft, sv::compile_plan(qft, fused)));
   const auto m = machine::MachineSpec::a64fx();
-  const perf::ProfileReport report =
-      perf::build_profile_report(r.run, r.plan, m, {});
-  ASSERT_EQ(report.phases.size(), r.plan.phases.size());
-  double share = 0.0;
-  for (const perf::PhaseProfile& p : report.phases) {
-    EXPECT_GT(p.modeled_seconds, 0.0);
-    EXPECT_GT(p.modeled_bytes, 0.0);
-    // Zero-flop phases (pure permutations like swap) legitimately sit at
-    // AI = 0; everything else must land on the roofline.
-    if (p.kind != sv::PhaseKind::Exchange && p.flops > 0.0)
-      EXPECT_GT(p.roofline.point.attainable_gflops, 0.0);
-    share += p.share;
-  }
-  EXPECT_NEAR(share, 1.0, 1e-9);
-  EXPECT_GT(report.measured_seconds, 0.0);
-  EXPECT_GT(report.modeled_seconds, 0.0);
-  EXPECT_FALSE(report.partial);
+  for (const ProfiledRun& r : runs) {
+    const perf::ProfileReport report =
+        perf::build_profile_report(r.run, r.plan, m, {});
+    ASSERT_EQ(report.phases.size(), r.plan.phases.size());
+    double share = 0.0;
+    for (const perf::PhaseProfile& p : report.phases) {
+      EXPECT_GT(p.modeled_seconds, 0.0);
+      EXPECT_GT(p.modeled_bytes, 0.0);
+      EXPECT_STRNE(p.kernel, "");
+      // Zero-flop phases (pure permutations like swap) legitimately sit at
+      // AI = 0; everything else must land on the roofline.
+      if (p.kind != sv::PhaseKind::Exchange && p.flops > 0.0)
+        EXPECT_GT(p.roofline.point.attainable_gflops, 0.0);
+      share += p.share;
+    }
+    EXPECT_NEAR(share, 1.0, 1e-9);
+    EXPECT_GT(report.measured_seconds, 0.0);
+    EXPECT_GT(report.modeled_seconds, 0.0);
+    EXPECT_FALSE(report.partial);
 
-  const auto order = report.by_measured_time();
-  for (std::size_t i = 1; i < order.size(); ++i)
-    EXPECT_GE(order[i - 1]->measured_seconds, order[i]->measured_seconds);
+    const auto order = report.by_measured_time();
+    for (std::size_t i = 1; i < order.size(); ++i)
+      EXPECT_GE(order[i - 1]->measured_seconds, order[i]->measured_seconds);
+
+    // Drift table: one row per phase kind, DenseGate rows per kernel
+    // class, then TOTAL; the rows account for every gate exactly once.
+    const Table t = perf::drift_phase_table(report);
+    ASSERT_GE(t.num_rows(), 2u);
+    std::vector<std::string> labels;
+    std::int64_t gates = 0;
+    for (std::size_t i = 0; i + 1 < t.num_rows(); ++i) {
+      labels.push_back(std::get<std::string>(t.row(i)[0]));
+      gates += std::get<std::int64_t>(t.row(i)[2]);
+    }
+    EXPECT_EQ(std::get<std::string>(t.row(t.num_rows() - 1)[0]), "TOTAL");
+    EXPECT_EQ(gates, static_cast<std::int64_t>(r.plan.total_gates()));
+    for (const perf::PhaseProfile& p : report.phases) {
+      const std::string want =
+          p.kind == sv::PhaseKind::DenseGate
+              ? "dense_gate/" + std::string(p.kernel)
+              : std::string(sv::phase_kind_name(p.kind));
+      EXPECT_EQ(std::count(labels.begin(), labels.end(), want), 1) << want;
+    }
+  }
 }
 
 TEST(ProfileReport, MismatchedPlanIsRejected) {

@@ -306,6 +306,18 @@ TEST(Service, AdmissionRejectsOverCostJob) {
   // The plan was still compiled and cached: resubmission attributes a hit.
   const auto retry = service.run_job(qft_job("big2", 8, 32, 1));
   EXPECT_TRUE(retry.cache_hit);
+
+  // A state beyond the host's physical memory (2^50 amplitudes) is refused
+  // before fingerprint and compile, with no ceiling set: nothing is cached.
+  svc::Service unlimited{svc::ServiceOptions{}};
+  std::istringstream in(R"({"id":"huge","qft":50,"shots":1})" "\n");
+  std::ostringstream out;
+  const svc::ServeStats stats = svc::serve_session(in, out, unlimited);
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(unlimited.jobs_rejected(), 1u);
+  EXPECT_EQ(unlimited.cache().misses(), 0u);
+  EXPECT_EQ(unlimited.cache().size(), 0u);
+  EXPECT_NE(out.str().find("admission_rejected"), std::string::npos);
 }
 
 TEST(Service, TrajectoryBatchingMatchesPerShotStatistics) {

@@ -1,6 +1,6 @@
-// Sweep planner and blocked execution engine.
+// Sweep grouping (compile_plan with blocking) and the blocked engine.
 //
-// The planner must be exactly equivalent to the circuit (no reordering, no
+// The grouping must be exactly equivalent to the circuit (no reordering, no
 // dropped gates), and the engine must produce bit-identical kernel math to
 // the per-gate path. Equivalence tests deliberately straddle the block
 // boundary: targets below, at, and above block_qubits in one circuit.
@@ -12,6 +12,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "obs/metrics.hpp"
 #include "qc/dense.hpp"
 #include "qc/library.hpp"
 #include "sv/engine.hpp"
@@ -41,33 +42,46 @@ TEST(AutoBlockQubits, KeepsFreeQubitsForParallelism) {
   EXPECT_EQ(auto_block_qubits(1, 512u * 1024u, 16, 3), 1u);
 }
 
+/// Blocked single-node plan with a fixed block size.
+ExecutionPlan blocked_plan(const Circuit& c, unsigned block_qubits,
+                           obs::MetricsRegistry* metrics = nullptr,
+                           unsigned max_sweep_gates = 64) {
+  PlanOptions po;
+  po.blocking = true;
+  po.block_qubits = block_qubits;
+  po.max_sweep_gates = max_sweep_gates;
+  po.metrics = metrics;
+  return compile_plan(c, po);
+}
+
 TEST(PlanSweeps, GroupsConsecutiveLowGates) {
   Circuit c(8);
   c.h(0).rz(1, 0.3).x(2);   // sweep of 3
   c.h(6);                   // pass-through (>= b)
   c.h(1).cz(0, 2);          // sweep of 2
-  SweepOptions so;
-  so.block_qubits = 4;
-  const SweepPlan plan = plan_sweeps(c, so);
-  ASSERT_EQ(plan.steps.size(), 3u);
-  EXPECT_TRUE(plan.steps[0].blocked);
-  EXPECT_EQ(plan.steps[0].gates.size(), 3u);
-  EXPECT_FALSE(plan.steps[1].blocked);
-  EXPECT_TRUE(plan.steps[2].blocked);
-  EXPECT_EQ(plan.blocked_gates, 5u);
-  EXPECT_EQ(plan.passthrough_gates, 1u);
+  obs::MetricsRegistry metrics;
+  const ExecutionPlan plan = blocked_plan(c, 4, &metrics);
+  ASSERT_EQ(plan.phases.size(), 3u);
+  EXPECT_EQ(plan.phases[0].kind, PhaseKind::LocalSweep);
+  EXPECT_EQ(plan.phases[0].gates.size(), 3u);
+  EXPECT_EQ(plan.phases[1].kind, PhaseKind::DenseGate);
+  EXPECT_EQ(plan.phases[2].kind, PhaseKind::LocalSweep);
+  EXPECT_EQ(plan.sweep_gates, 5u);
+  EXPECT_EQ(plan.dense_gates, 1u);
   EXPECT_EQ(plan.traversals(), 3u);
   EXPECT_NEAR(plan.gates_per_traversal(), 6.0 / 3.0, 1e-12);
+  // The grouping publishes what the blocked path captured.
+  EXPECT_EQ(metrics.counter("sweep.plans").value(), 1u);
+  EXPECT_EQ(metrics.counter("sweep.blocked_gates").value(), 5u);
+  EXPECT_EQ(metrics.counter("sweep.passthrough_gates").value(), 1u);
 }
 
 TEST(PlanSweeps, PreservesGateOrderAndCount) {
   const Circuit c = qc::random_clifford_t(8, 120, 7);
-  SweepOptions so;
-  so.block_qubits = 4;
-  const SweepPlan plan = plan_sweeps(c, so);
+  const ExecutionPlan plan = blocked_plan(c, 4);
   std::vector<Gate> flattened;
-  for (const auto& step : plan.steps)
-    for (const auto& g : step.gates) flattened.push_back(g);
+  for (const auto& phase : plan.phases)
+    for (const auto& g : phase.gates) flattened.push_back(g);
   ASSERT_EQ(flattened.size(), c.size());
   for (std::size_t i = 0; i < flattened.size(); ++i) {
     EXPECT_EQ(flattened[i].kind, c.gate(i).kind);
@@ -78,25 +92,25 @@ TEST(PlanSweeps, PreservesGateOrderAndCount) {
 TEST(PlanSweeps, SplitsAtMaxSweepGates) {
   Circuit c(6);
   for (int i = 0; i < 10; ++i) c.h(0);
-  SweepOptions so;
-  so.block_qubits = 3;
-  so.max_sweep_gates = 4;
-  const SweepPlan plan = plan_sweeps(c, so);
-  ASSERT_EQ(plan.steps.size(), 3u);  // 4 + 4 + 2
-  EXPECT_EQ(plan.steps[0].gates.size(), 4u);
-  EXPECT_EQ(plan.steps[2].gates.size(), 2u);
+  const ExecutionPlan plan =
+      blocked_plan(c, 3, nullptr, /*max_sweep_gates=*/4);
+  ASSERT_EQ(plan.phases.size(), 3u);  // 4 + 4 + 2
+  EXPECT_EQ(plan.phases[0].gates.size(), 4u);
+  EXPECT_EQ(plan.phases[2].gates.size(), 2u);
   EXPECT_EQ(plan.traversals(), 3u);
 }
 
 TEST(PlanSweeps, BarriersAndMeasureArePassThrough) {
   Circuit c(6);
   c.h(0).barrier().h(1).measure(0, 0);
-  SweepOptions so;
-  so.block_qubits = 3;
-  const SweepPlan plan = plan_sweeps(c, so);
-  EXPECT_EQ(plan.blocked_gates, 2u);
-  EXPECT_EQ(plan.passthrough_gates, 1u);  // barrier is free, measure is not
-  EXPECT_EQ(plan.traversals(), 3u);       // two sweeps split by the barrier
+  const ExecutionPlan plan = blocked_plan(c, 3);
+  ASSERT_EQ(plan.phases.size(), 4u);
+  EXPECT_EQ(plan.phases[1].kind, PhaseKind::DenseGate);     // barrier
+  EXPECT_EQ(plan.phases[3].kind, PhaseKind::MeasureFlush);  // measure
+  EXPECT_EQ(plan.sweep_gates, 2u);
+  EXPECT_EQ(plan.free_gates, 1u);     // barrier is free...
+  EXPECT_EQ(plan.measure_gates, 1u);  // ...measure is not
+  EXPECT_EQ(plan.traversals(), 3u);   // two sweeps split by the barrier
 }
 
 TEST(RunSweep, MatchesPerGateKernels) {

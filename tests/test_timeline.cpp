@@ -54,15 +54,26 @@ TEST(Timeline, DensePlanIsASingleComputeLane) {
   EXPECT_GT(tl.total_events(), 0u);
   for (const auto& e : tl.ranks[0].events)
     EXPECT_EQ(e.kind, TimelineEventKind::Compute);
-  // The recorder does not perturb the simulator: bit-identical makespan.
-  EXPECT_EQ(tl.makespan_seconds, event_driven_makespan(plan, kA64fx, {}, kTofu));
+  // One rank: the recorded clock chain is the BSP sum, bit for bit.
+  EXPECT_EQ(tl.makespan_seconds,
+            time_plan(plan, kA64fx, {}, kTofu).makespan_seconds);
 }
 
 TEST(Timeline, RecorderMatchesRecorderlessMakespanBitExactly) {
+  // The recorder does not perturb the per-rank clocks: with the same
+  // straggler, recorded and recorderless makespans are bit-identical.
   const sv::ExecutionPlan plan = distributed_plan(12, 3);
-  const Timeline tl = record(plan);
-  EXPECT_EQ(tl.makespan_seconds, event_driven_makespan(plan, kA64fx, {}, kTofu));
+  StragglerConfig s;
+  s.node = 3;
+  s.slowdown = 3.0;
+  const Timeline tl = record(plan, s);
+  EXPECT_EQ(tl.makespan_seconds,
+            time_plan(plan, kA64fx, {}, kTofu, s).makespan_seconds);
   EXPECT_EQ(tl.num_ranks(), 8u);
+  // Without a straggler the recorded walk agrees with the BSP total.
+  const DistTiming bsp = time_plan(plan, kA64fx, {}, kTofu);
+  EXPECT_NEAR(record(plan).makespan_seconds, bsp.total_seconds,
+              bsp.total_seconds * 1e-9);
 }
 
 TEST(Timeline, RankAxesTileWithoutGaps) {
@@ -245,8 +256,13 @@ TEST(Guards, MakespanRefusesPlansAboveTheRankCap) {
   // 2^23 ranks: one above kMakespanMaxRanks. The guard fires before any
   // per-rank allocation, so compiling the plan is the only real cost.
   const sv::ExecutionPlan plan = compile_distributed(qc::qft(25), 23, {});
+  // Without a straggler or recorder no clocks run, so no cap applies.
+  EXPECT_NO_THROW(time_plan(plan, kA64fx, {}, kTofu));
+  StragglerConfig s;
+  s.node = 0;
+  s.slowdown = 2.0;
   try {
-    event_driven_makespan(plan, kA64fx, {}, kTofu);
+    time_plan(plan, kA64fx, {}, kTofu, s);
     FAIL() << "expected Error";
   } catch (const Error& e) {
     const std::string msg = e.what();
@@ -256,7 +272,7 @@ TEST(Guards, MakespanRefusesPlansAboveTheRankCap) {
 }
 
 TEST(Guards, TimelineRefusesPlansAboveTheRecorderCap) {
-  // 2^13 ranks: fine for the makespan simulator, too wide to record.
+  // 2^13 ranks: fine for the per-rank clocks, too wide to record.
   const sv::ExecutionPlan plan = compile_distributed(qc::qft(15), 13, {});
   try {
     record(plan);

@@ -5,7 +5,7 @@
 //             [--trace-json FILE] [--trace] [--metrics] [--counters]
 //             [--profile FILE]
 //   svsim project <circuit.qasm | --qft N | --qv N D>
-//             [--machine a64fx|a64fx-boost|a64fx-eco|xeon|tx2]
+//             [--machine a64fx|a64fx-boost|a64fx-eco|fx700|xeon|tx2|host]
 //             [--threads T] [--affinity compact|scatter] [--fusion W]
 //             [--trace] [--drift]
 //   svsim plan <circuit.qasm | --qft N | --qv N D>
@@ -29,9 +29,10 @@
 //
 // `run` executes the circuit and prints measurement counts; `project`
 // prints the modeled performance/power report for the chosen machine
-// (`--drift` also runs the circuit for real and prints the modeled-vs-
-// measured comparison); `plan` compiles the circuit into the ExecutionPlan
-// IR (single-node, or distributed over --ranks R) and prints the phase
+// (`--drift` also executes the compiled plan under the phase profiler and
+// prints the modeled-vs-measured comparison per phase and kernel); `plan`
+// compiles the circuit into the ExecutionPlan IR (single-node, or
+// distributed over --ranks R) and prints the phase
 // summary, optionally dumping the plan JSON for scripts/check_plan_schema.py
 // (`--timeline FILE` also records the makespan timeline artifact);
 // `profile` executes the compiled plan with the phase profiler riding
@@ -60,6 +61,7 @@
 #include "dist/dist_sim.hpp"
 #include "dist/timeline.hpp"
 #include "machine/cache_probe.hpp"
+#include "obs/bench/env.hpp"
 #include "obs/hwcounters.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -192,8 +194,10 @@ machine::MachineSpec machine_by_name(const std::string& name) {
   if (name == "fx700") return machine::MachineSpec::a64fx_fx700();
   if (name == "xeon") return machine::MachineSpec::xeon_6148_dual();
   if (name == "tx2") return machine::MachineSpec::thunderx2_dual();
+  if (name == "host") return obs::bench::host_spec();
   throw Error("unknown machine '" + name +
-              "' (try a64fx, a64fx-boost, a64fx-eco, fx700, xeon, tx2)");
+              "' (try a64fx, a64fx-boost, a64fx-eco, fx700, xeon, tx2, "
+              "host)");
 }
 
 /// --precision: amplitude scalar size in bytes (f64 default). `run` also
@@ -482,56 +486,37 @@ int cmd_project(const Args& args) {
     cfg.threads = static_cast<unsigned>(std::stoul(args.get("threads", "0")));
   if (args.get("affinity", "compact") == "scatter")
     cfg.affinity = machine::Affinity::Scatter;
-  perf::PerfOptions opts;
+  sv::PlanOptions po;
   if (args.flag("fusion")) {
-    opts.fusion = true;
-    opts.fusion_width =
+    po.fusion = true;
+    po.fusion_width =
         static_cast<unsigned>(std::stoul(args.get("fusion", "3")));
   }
-  opts.record_trace = args.flag("trace") || args.flag("drift");
 
-  const auto report = perf::simulate_circuit(circuit, m, cfg, opts);
-  perf::summary_table(report).print(std::cout);
-  perf::kernel_breakdown_table(report).print(std::cout);
-  if (args.flag("trace")) perf::trace_table(report).print(std::cout);
-  const auto power = perf::estimate_power(circuit, m, cfg, opts);
-  perf::power_table({{m.name, power}}).print(std::cout);
+  const sv::ExecutionPlan plan = sv::compile_plan(circuit, po);
+  const perf::PlanCost cost = perf::cost_plan(plan, m, cfg);
+  perf::summary_table(cost).print(std::cout);
+  perf::kernel_breakdown_table(cost).print(std::cout);
+  if (args.flag("trace")) perf::trace_table(cost).print(std::cout);
+  perf::power_table({{m.name, perf::estimate_power(cost, m)}})
+      .print(std::cout);
 
   if (args.flag("drift")) {
-    // Execute the circuit for real under the tracer and join the measured
-    // spans against the prediction. The comparison is honest only when the
-    // modeled machine resembles the host; the ratio column quantifies it.
-    sv::SimulatorOptions sopts;
-    sopts.fusion = opts.fusion;
-    sopts.fusion_width = opts.fusion_width;
-    obs::Tracer& tracer = obs::Tracer::global();
-    tracer.clear();
-    tracer.enable();
+    // Execute the same plan for real with the phase profiler riding
+    // run_plan and join the samples against its cost. The comparison is
+    // honest only when the modeled machine resembles the host (`--machine
+    // host`); the ratio column quantifies it.
     obs::Profiler profiler;
     profiler.install();
-    sv::PlanCaptureScope capture;
-    sv::Simulator<double> sim(sopts);
-    sim.run(circuit);
+    sv::Simulator<double> sim;
+    sv::StateVector<double> state(circuit.num_qubits());
+    sim.run_plan(state, plan);
     profiler.uninstall();
-    tracer.disable();
-    const auto drift =
-        perf::drift_report(report, tracer.collect(), tracer.dropped());
-    perf::drift_table(drift).print(std::cout);
-    // Per-phase section: the same drift attributed to the ExecutionPlan
-    // phases the run actually executed.
-    const auto runs = profiler.runs();
-    const auto plans = capture.plans();
-    if (!runs.empty() && runs.size() == plans.size())
-      perf::drift_phase_table(
-          perf::build_profile_report(runs.back(), plans.back(), m, cfg))
-          .print(std::cout);
-    if (drift.partial())
-      std::cerr << "warning: tracer dropped " << drift.dropped_spans
-                << " spans to ring wraparound; the drift join is partial\n";
-    if (drift.orphan_spans > 0 || drift.orphan_model > 0)
-      std::cerr << "warning: " << drift.orphan_spans << " measured / "
-                << drift.orphan_model
-                << " modeled gates had no join partner\n";
+    const std::vector<obs::RunProfile> runs = profiler.runs();
+    require(!runs.empty(), "project: the run produced no profiled executions");
+    const perf::ProfileReport report =
+        perf::build_profile_report(runs.back(), plan, m, cfg);
+    perf::drift_phase_table(report).print(std::cout);
   }
   return 0;
 }
@@ -721,18 +706,19 @@ int cmd_timeline(const Args& args) {
     const sv::ExecutionPlan wide =
         compile_plan_from_args(args, circuit, &m, ranks * 2);
     add_scenario("ranks x2 (" + std::to_string(ranks * 2) + ", recompiled)",
-                 dist::event_driven_makespan(wide, m, cfg, net, straggler));
+                 dist::time_plan(wide, m, cfg, net, straggler)
+                     .makespan_seconds);
   }
   if (ranks >= 2) {
     const sv::ExecutionPlan narrow =
         compile_plan_from_args(args, circuit, &m, ranks / 2);
     add_scenario("ranks /2 (" + std::to_string(ranks / 2) + ", recompiled)",
-                 dist::event_driven_makespan(narrow, m, cfg, net, straggler));
+                 dist::time_plan(narrow, m, cfg, net, straggler)
+                     .makespan_seconds);
   }
-  add_scenario(
-      "node x2 (clock+bandwidth, remodeled)",
-      dist::event_driven_makespan(plan, m.scaled(2.0, 2.0), cfg, net,
-                                  straggler));
+  add_scenario("node x2 (clock+bandwidth, remodeled)",
+               dist::time_plan(plan, m.scaled(2.0, 2.0), cfg, net, straggler)
+                   .makespan_seconds);
   model.print(std::cout);
 
   if (args.flag("json")) {
@@ -837,7 +823,7 @@ int cmd_machines() {
         machine::MachineSpec::a64fx_eco(),
         machine::MachineSpec::a64fx_fx700(),
         machine::MachineSpec::xeon_6148_dual(),
-        machine::MachineSpec::thunderx2_dual()}) {
+        machine::MachineSpec::thunderx2_dual(), obs::bench::host_spec()}) {
     t.add_row({m.name, static_cast<std::int64_t>(m.total_cores()),
                m.clock_ghz, static_cast<std::int64_t>(m.simd_bits),
                m.peak_gflops(), m.stream_bandwidth_gbps()});
