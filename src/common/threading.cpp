@@ -139,13 +139,13 @@ void ThreadPool::worker_loop(unsigned worker_index) {
 }
 
 void ThreadPool::parallel_for(
-    std::uint64_t count,
-    const std::function<void(unsigned, std::uint64_t, std::uint64_t)>& body,
-    std::uint64_t serial_cutoff) {
+    std::uint64_t count, std::uint64_t item_bytes,
+    const std::function<void(unsigned, std::uint64_t, std::uint64_t)>& body) {
   const unsigned n = num_threads();
-  // Run inline when parallelism can't pay for its fork-join cost, when there
-  // are no helpers, or when called from inside a parallel region (nested).
-  if (count < serial_cutoff || n == 1 || in_parallel_region_) {
+  // Run inline when parallelism can't pay for its fork-join cost (which
+  // covers a pool with no helpers) or when called from inside a parallel
+  // region (nested).
+  if (!forks(count, item_bytes) || in_parallel_region_) {
     stat_inline_.fetch_add(1, std::memory_order_relaxed);
     stat_items_.fetch_add(count, std::memory_order_relaxed);
     if (count > 0) body(0, 0, count);
@@ -173,11 +173,9 @@ void ThreadPool::parallel_for(
 }
 
 double ThreadPool::parallel_reduce(
-    std::uint64_t count,
-    const std::function<double(unsigned, std::uint64_t, std::uint64_t)>& body,
-    std::uint64_t serial_cutoff) {
-  const unsigned n = num_threads();
-  if (count < serial_cutoff || n == 1 || in_parallel_region_) {
+    std::uint64_t count, std::uint64_t item_bytes,
+    const std::function<double(unsigned, std::uint64_t, std::uint64_t)>& body) {
+  if (!forks(count, item_bytes) || in_parallel_region_) {
     stat_inline_.fetch_add(1, std::memory_order_relaxed);
     stat_items_.fetch_add(count, std::memory_order_relaxed);
     return count > 0 ? body(0, 0, count) : 0.0;
@@ -186,13 +184,11 @@ double ThreadPool::parallel_reduce(
   struct alignas(64) Padded {
     double value = 0.0;
   };
-  std::vector<Padded> partials(n);
-  parallel_for(
-      count,
-      [&](unsigned w, std::uint64_t begin, std::uint64_t end) {
-        partials[w].value = body(w, begin, end);
-      },
-      /*serial_cutoff=*/0);
+  std::vector<Padded> partials(num_threads());
+  parallel_for(count, item_bytes,
+               [&](unsigned w, std::uint64_t begin, std::uint64_t end) {
+                 partials[w].value = body(w, begin, end);
+               });
   double total = 0.0;
   for (const auto& p : partials) total += p.value;
   return total;

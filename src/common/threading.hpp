@@ -8,8 +8,47 @@
 //
 // The pool also exposes `parallel_reduce` for norms/probabilities and a
 // per-worker RNG substream facility for parallel sampling.
+//
+// Grain rule. A region is `count` items, each touching `item_bytes` bytes of
+// memory. It forks only when every worker that would get a share gets at
+// least kForkGrainBytes; otherwise it runs inline on the caller. Call sites
+// state what an item touches, so the rule is in bytes, not item counts, and
+// one constant serves 1-amplitude items, 4-amplitude items and L2-sized
+// blocks alike.
+//
+// kForkGrainBytes comes from the measured crossover below: microseconds
+// per call on a 1-thread pool (inline) and on a 4-thread pool forced to
+// fork (grain 0), f64, median of 7 repeats, 4-core Xeon VM, GCC 12 -O3
+// -march=native. probability_of_one reads half the state, apply_h reads
+// and writes all of it; "/worker" is the bytes each of the 4 shares gets.
+//
+//    n   state   probability_of_one(n-1)    apply_h(0)
+//                1t     4t    KiB/worker    1t     4t    KiB/worker
+//   10   16 KiB   2.0   16.0      2         2.8   16.4      4
+//   11   32 KiB   5.2   18.1      4         6.1   17.2      8
+//   12   64 KiB   9.8   18.8      8         9.1   16.9     16
+//   13  128 KiB  14.8   22.2     16        22.8   19.8     32
+//   14  256 KiB  19.0   26.3     32        33.3   26.5     64
+//   15  512 KiB  27.3   29.3     64        75.1   40.7    128
+//   16    1 MiB  74.5   40.5    128       141.0   64.0    256
+//   17    2 MiB 126.3   57.7    256       281.9  122.0    512
+//   18    4 MiB 262.0   89.6    512       640.3  233.1   1024
+//
+// A fork-join costs about 16 us here, so forking breaks even at 32-64 KiB
+// per worker for both kernels and wins from 128 KiB. G = 64 KiB forks
+// apply_h from n = 14 and probability_of_one from n = 15, and keeps every
+// region of a state up to 128 KiB (n <= 13, f64) on the caller.
+//
+// There is no runtime probe: the constant is fixed at compile time. The
+// fork-join cost is a few wake-ups and a condition-variable handshake, and
+// it moves by small factors across hosts, while the grain only needs to be
+// right within a factor of two to avoid both losses (forking a 16 KiB
+// state, or running a 4 MiB state on one core). A probe would also run
+// inside ThreadPool::global(), whose construction is on the service's
+// timed startup path.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -71,12 +110,16 @@ unsigned pin_cpu_for_worker(const PinPolicy& policy, unsigned w,
 /// Unset/unrecognized -> Mode::None.
 PinPolicy pin_policy_from_env();
 
+/// Bytes each worker must touch for a region to fork (see the header
+/// comment for the measured crossover).
+inline constexpr std::uint64_t kForkGrainBytes = std::uint64_t{64} << 10;
+
 /// Cumulative counters of what a pool has executed. Observability hook for
 /// the obs layer (which mirrors these into its metrics registry); kept here
 /// as plain atomics so `common` stays dependency-free.
 struct PoolStats {
   std::uint64_t parallel_regions = 0;  ///< regions forked across workers
-  std::uint64_t inline_regions = 0;    ///< regions run inline (cutoff/nested)
+  std::uint64_t inline_regions = 0;    ///< regions run inline (grain/nested)
   std::uint64_t items = 0;             ///< total loop iterations dispatched
 };
 
@@ -97,20 +140,29 @@ class ThreadPool {
     return static_cast<unsigned>(threads_.size()) + 1;
   }
 
+  /// True when a region of `count` items of `item_bytes` each passes the
+  /// grain rule: at least two workers get a share and every share is at
+  /// least kForkGrainBytes. Always false on a one-thread pool.
+  bool forks(std::uint64_t count, std::uint64_t item_bytes) const noexcept {
+    const std::uint64_t workers = std::min<std::uint64_t>(count,
+                                                          num_threads());
+    return workers >= 2 && count / workers * item_bytes >= kForkGrainBytes;
+  }
+
   /// Runs body(worker_index, begin, end) on every worker with a static
-  /// partition of [0, count). Blocks until all workers finish. If the range
-  /// is smaller than `serial_cutoff`, runs inline on the caller.
-  void parallel_for(std::uint64_t count,
+  /// partition of [0, count), each item touching `item_bytes` bytes. Blocks
+  /// until all workers finish. Runs inline on the caller when the region
+  /// fails the grain rule (forks()) or is nested in another region.
+  void parallel_for(std::uint64_t count, std::uint64_t item_bytes,
                     const std::function<void(unsigned, std::uint64_t,
-                                             std::uint64_t)>& body,
-                    std::uint64_t serial_cutoff = 1u << 12);
+                                             std::uint64_t)>& body);
 
   /// Parallel sum-reduction: each worker computes body(worker, begin, end)
-  /// and the partial results are summed on the caller.
-  double parallel_reduce(std::uint64_t count,
+  /// and the partial results are summed on the caller. Same grain rule as
+  /// parallel_for.
+  double parallel_reduce(std::uint64_t count, std::uint64_t item_bytes,
                          const std::function<double(unsigned, std::uint64_t,
-                                                    std::uint64_t)>& body,
-                         std::uint64_t serial_cutoff = 1u << 12);
+                                                    std::uint64_t)>& body);
 
   /// Pins every worker (including the caller, which acts as worker 0) to
   /// the CPU pin_cpu_for_worker assigns it. Returns false — and pins

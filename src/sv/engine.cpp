@@ -171,18 +171,17 @@ void run_sweep_prepared(StateVector<T>& state, const PreparedGate<T>* pgs,
   std::complex<T>* psi = state.data();
   const unsigned b = block_qubits;
   const std::uint64_t num_blocks = pow2(state.num_qubits() - b);
-  // serial_cutoff=2: blocks are large, so even two of them are worth
-  // forking; the static partition mirrors the first-touch layout.
+  // An item is one block; the static partition mirrors the first-touch
+  // layout.
   state.pool().parallel_for(
-      num_blocks,
+      num_blocks, detail::amp_bytes<T>(pow2(b)),
       [psi, pgs, count, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
         for (std::uint64_t blk = lo; blk < hi; ++blk) {
           std::complex<T>* block = psi + (blk << b);
           for (std::size_t g = 0; g < count; ++g)
             apply_gate_in_block(block, b, pgs[g]);
         }
-      },
-      /*serial_cutoff=*/2);
+      });
 }
 
 }  // namespace

@@ -44,6 +44,13 @@ inline void for_pair_runs(std::uint64_t begin, std::uint64_t end, unsigned t,
   }
 }
 
+/// Bytes of `k` amplitudes: what one loop item touches, for the pool's
+/// grain rule.
+template <typename T>
+constexpr std::uint64_t amp_bytes(std::uint64_t k) {
+  return k * sizeof(std::complex<T>);
+}
+
 /// Converts a qc::Matrix entry to the kernel precision.
 template <typename T>
 inline std::complex<T> cast_c(const qc::cplx& v) {
@@ -64,19 +71,21 @@ void apply_matrix1(std::complex<T>* psi, unsigned n, unsigned t,
   const std::complex<T> m10 = detail::cast_c<T>(u(1, 0));
   const std::complex<T> m11 = detail::cast_c<T>(u(1, 1));
   const std::uint64_t stride = pow2(t);
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    detail::for_pair_runs(b, e, t, [&](std::uint64_t base, std::uint64_t run) {
-      std::complex<T>* lo = psi + base;
-      std::complex<T>* hi = psi + base + stride;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        const std::complex<T> a0 = lo[j];
-        const std::complex<T> a1 = hi[j];
-        lo[j] = m00 * a0 + m01 * a1;
-        hi[j] = m10 * a0 + m11 * a1;
-      }
-    });
-  });
+  pool.parallel_for(
+      pow2(n - 1), detail::amp_bytes<T>(2),
+      [=](unsigned, std::uint64_t b, std::uint64_t e) {
+        detail::for_pair_runs(b, e, t, [&](std::uint64_t base,
+                                           std::uint64_t run) {
+          std::complex<T>* lo = psi + base;
+          std::complex<T>* hi = psi + base + stride;
+          for (std::uint64_t j = 0; j < run; ++j) {
+            const std::complex<T> a0 = lo[j];
+            const std::complex<T> a1 = hi[j];
+            lo[j] = m00 * a0 + m01 * a1;
+            hi[j] = m10 * a0 + m11 * a1;
+          }
+        });
+      });
 }
 
 /// Reference variant of apply_matrix1 that computes each pair index with
@@ -93,17 +102,18 @@ void apply_matrix1_pairwise(std::complex<T>* psi, unsigned n, unsigned t,
   const std::complex<T> m10 = detail::cast_c<T>(u(1, 0));
   const std::complex<T> m11 = detail::cast_c<T>(u(1, 1));
   const std::uint64_t tbit = pow2(t);
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t i0 = insert_zero_bit(c, t);
-      const std::uint64_t i1 = i0 | tbit;
-      const std::complex<T> a0 = psi[i0];
-      const std::complex<T> a1 = psi[i1];
-      psi[i0] = m00 * a0 + m01 * a1;
-      psi[i1] = m10 * a0 + m11 * a1;
-    }
-  });
+  pool.parallel_for(
+      pow2(n - 1), detail::amp_bytes<T>(2),
+      [=](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t c = b; c < e; ++c) {
+          const std::uint64_t i0 = insert_zero_bit(c, t);
+          const std::uint64_t i1 = i0 | tbit;
+          const std::complex<T> a0 = psi[i0];
+          const std::complex<T> a1 = psi[i1];
+          psi[i0] = m00 * a0 + m01 * a1;
+          psi[i1] = m10 * a0 + m11 * a1;
+        }
+      });
 }
 
 /// Hadamard: fewer multiplies than the general path.
@@ -111,52 +121,58 @@ template <typename T>
 void apply_h(std::complex<T>* psi, unsigned n, unsigned t, ThreadPool& pool) {
   const T inv_sqrt2 = static_cast<T>(0.70710678118654752440);
   const std::uint64_t stride = pow2(t);
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    detail::for_pair_runs(b, e, t, [&](std::uint64_t base, std::uint64_t run) {
-      std::complex<T>* lo = psi + base;
-      std::complex<T>* hi = psi + base + stride;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        const std::complex<T> a0 = lo[j];
-        const std::complex<T> a1 = hi[j];
-        lo[j] = (a0 + a1) * inv_sqrt2;
-        hi[j] = (a0 - a1) * inv_sqrt2;
-      }
-    });
-  });
+  pool.parallel_for(
+      pow2(n - 1), detail::amp_bytes<T>(2),
+      [=](unsigned, std::uint64_t b, std::uint64_t e) {
+        detail::for_pair_runs(b, e, t, [&](std::uint64_t base,
+                                           std::uint64_t run) {
+          std::complex<T>* lo = psi + base;
+          std::complex<T>* hi = psi + base + stride;
+          for (std::uint64_t j = 0; j < run; ++j) {
+            const std::complex<T> a0 = lo[j];
+            const std::complex<T> a1 = hi[j];
+            lo[j] = (a0 + a1) * inv_sqrt2;
+            hi[j] = (a0 - a1) * inv_sqrt2;
+          }
+        });
+      });
 }
 
 /// X: pure swap of pair halves (no arithmetic).
 template <typename T>
 void apply_x(std::complex<T>* psi, unsigned n, unsigned t, ThreadPool& pool) {
   const std::uint64_t stride = pow2(t);
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    detail::for_pair_runs(b, e, t, [&](std::uint64_t base, std::uint64_t run) {
-      std::complex<T>* lo = psi + base;
-      std::complex<T>* hi = psi + base + stride;
-      for (std::uint64_t j = 0; j < run; ++j) std::swap(lo[j], hi[j]);
-    });
-  });
+  pool.parallel_for(
+      pow2(n - 1), detail::amp_bytes<T>(2),
+      [=](unsigned, std::uint64_t b, std::uint64_t e) {
+        detail::for_pair_runs(b, e, t, [&](std::uint64_t base,
+                                           std::uint64_t run) {
+          std::complex<T>* lo = psi + base;
+          std::complex<T>* hi = psi + base + stride;
+          for (std::uint64_t j = 0; j < run; ++j) std::swap(lo[j], hi[j]);
+        });
+      });
 }
 
 /// Y = [[0,-i],[i,0]]: swap with ±i phases.
 template <typename T>
 void apply_y(std::complex<T>* psi, unsigned n, unsigned t, ThreadPool& pool) {
   const std::uint64_t stride = pow2(t);
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    detail::for_pair_runs(b, e, t, [&](std::uint64_t base, std::uint64_t run) {
-      std::complex<T>* lo = psi + base;
-      std::complex<T>* hi = psi + base + stride;
-      for (std::uint64_t j = 0; j < run; ++j) {
-        const std::complex<T> a0 = lo[j];
-        const std::complex<T> a1 = hi[j];
-        lo[j] = std::complex<T>{a1.imag(), -a1.real()};   // -i * a1
-        hi[j] = std::complex<T>{-a0.imag(), a0.real()};   //  i * a0
-      }
-    });
-  });
+  pool.parallel_for(
+      pow2(n - 1), detail::amp_bytes<T>(2),
+      [=](unsigned, std::uint64_t b, std::uint64_t e) {
+        detail::for_pair_runs(b, e, t, [&](std::uint64_t base,
+                                           std::uint64_t run) {
+          std::complex<T>* lo = psi + base;
+          std::complex<T>* hi = psi + base + stride;
+          for (std::uint64_t j = 0; j < run; ++j) {
+            const std::complex<T> a0 = lo[j];
+            const std::complex<T> a1 = hi[j];
+            lo[j] = std::complex<T>{a1.imag(), -a1.real()};   // -i * a1
+            hi[j] = std::complex<T>{-a0.imag(), a0.real()};   //  i * a0
+          }
+        });
+      });
 }
 
 /// Diagonal 1-qubit gate diag(d0, d1). When d0 == 1 (Z, S, T, P) only the
@@ -169,21 +185,23 @@ void apply_diag1(std::complex<T>* psi, unsigned n, unsigned t, qc::cplx d0,
   const std::complex<T> f1 = detail::cast_c<T>(d1);
   const std::uint64_t stride = pow2(t);
   const bool skip_lower = (d0 == qc::cplx{1.0, 0.0});
-  pool.parallel_for(pow2(n - 1), [=](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
-    detail::for_pair_runs(b, e, t, [&](std::uint64_t base, std::uint64_t run) {
-      std::complex<T>* lo = psi + base;
-      std::complex<T>* hi = psi + base + stride;
-      if (skip_lower) {
-        for (std::uint64_t j = 0; j < run; ++j) hi[j] *= f1;
-      } else {
-        for (std::uint64_t j = 0; j < run; ++j) {
-          lo[j] *= f0;
-          hi[j] *= f1;
-        }
-      }
-    });
-  });
+  pool.parallel_for(
+      pow2(n - 1), detail::amp_bytes<T>(2),
+      [=](unsigned, std::uint64_t b, std::uint64_t e) {
+        detail::for_pair_runs(b, e, t, [&](std::uint64_t base,
+                                           std::uint64_t run) {
+          std::complex<T>* lo = psi + base;
+          std::complex<T>* hi = psi + base + stride;
+          if (skip_lower) {
+            for (std::uint64_t j = 0; j < run; ++j) hi[j] *= f1;
+          } else {
+            for (std::uint64_t j = 0; j < run; ++j) {
+              lo[j] *= f0;
+              hi[j] *= f1;
+            }
+          }
+        });
+      });
 }
 
 // ---- controlled 1-qubit kernels --------------------------------------------
@@ -212,17 +230,18 @@ void apply_controlled_matrix1(std::complex<T>* psi, unsigned n,
   const std::uint64_t tbit = pow2(t);
   const unsigned free_bits = n - static_cast<unsigned>(positions.size());
 
-  pool.parallel_for(pow2(free_bits), [=, &positions](unsigned, std::uint64_t b,
-                                                     std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t i0 = insert_zero_bits(c, positions) | cmask;
-      const std::uint64_t i1 = i0 | tbit;
-      const std::complex<T> a0 = psi[i0];
-      const std::complex<T> a1 = psi[i1];
-      psi[i0] = m00 * a0 + m01 * a1;
-      psi[i1] = m10 * a0 + m11 * a1;
-    }
-  });
+  pool.parallel_for(
+      pow2(free_bits), detail::amp_bytes<T>(2),
+      [=, &positions](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t c = b; c < e; ++c) {
+          const std::uint64_t i0 = insert_zero_bits(c, positions) | cmask;
+          const std::uint64_t i1 = i0 | tbit;
+          const std::complex<T> a0 = psi[i0];
+          const std::complex<T> a1 = psi[i1];
+          psi[i0] = m00 * a0 + m01 * a1;
+          psi[i1] = m10 * a0 + m11 * a1;
+        }
+      });
 }
 
 /// CX: swap the target pair where all controls are 1 (covers CCX/MCX too).
@@ -237,13 +256,14 @@ void apply_mcx(std::complex<T>* psi, unsigned n,
   for (unsigned c : controls) cmask |= pow2(c);
   const std::uint64_t tbit = pow2(t);
   const unsigned free_bits = n - static_cast<unsigned>(positions.size());
-  pool.parallel_for(pow2(free_bits), [=, &positions](unsigned, std::uint64_t b,
-                                                     std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t i0 = insert_zero_bits(c, positions) | cmask;
-      std::swap(psi[i0], psi[i0 | tbit]);
-    }
-  });
+  pool.parallel_for(
+      pow2(free_bits), detail::amp_bytes<T>(2),
+      [=, &positions](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t c = b; c < e; ++c) {
+          const std::uint64_t i0 = insert_zero_bits(c, positions) | cmask;
+          std::swap(psi[i0], psi[i0 | tbit]);
+        }
+      });
 }
 
 /// Multi-controlled phase: multiplies the single amplitude subset where all
@@ -258,11 +278,12 @@ void apply_mc_phase(std::complex<T>* psi, unsigned n,
   for (unsigned q : qubits) mask |= pow2(q);
   const std::complex<T> f = detail::cast_c<T>(phase);
   const unsigned free_bits = n - static_cast<unsigned>(positions.size());
-  pool.parallel_for(pow2(free_bits), [=, &positions](unsigned, std::uint64_t b,
-                                                     std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c)
-      psi[insert_zero_bits(c, positions) | mask] *= f;
-  });
+  pool.parallel_for(
+      pow2(free_bits), detail::amp_bytes<T>(1),
+      [=, &positions](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t c = b; c < e; ++c)
+          psi[insert_zero_bits(c, positions) | mask] *= f;
+      });
 }
 
 /// Controlled diag(d0, d1) on target t (covers CZ, CP, CRZ, CCZ).
@@ -286,14 +307,15 @@ void apply_controlled_diag1(std::complex<T>* psi, unsigned n,
   const std::complex<T> f0 = detail::cast_c<T>(d0);
   const std::complex<T> f1 = detail::cast_c<T>(d1);
   const unsigned free_bits = n - static_cast<unsigned>(positions.size());
-  pool.parallel_for(pow2(free_bits), [=, &positions](unsigned, std::uint64_t b,
-                                                     std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t i0 = insert_zero_bits(c, positions) | cmask;
-      psi[i0] *= f0;
-      psi[i0 | tbit] *= f1;
-    }
-  });
+  pool.parallel_for(
+      pow2(free_bits), detail::amp_bytes<T>(2),
+      [=, &positions](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t c = b; c < e; ++c) {
+          const std::uint64_t i0 = insert_zero_bits(c, positions) | cmask;
+          psi[i0] *= f0;
+          psi[i0 | tbit] *= f1;
+        }
+      });
 }
 
 // ---- 2-qubit kernels --------------------------------------------------------
@@ -304,13 +326,14 @@ void apply_swap(std::complex<T>* psi, unsigned n, unsigned q0, unsigned q1,
                 ThreadPool& pool) {
   std::vector<unsigned> positions = {std::min(q0, q1), std::max(q0, q1)};
   const std::uint64_t b0 = pow2(q0), b1 = pow2(q1);
-  pool.parallel_for(pow2(n - 2), [=, &positions](unsigned, std::uint64_t b,
-                                                 std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t base = insert_zero_bits(c, positions);
-      std::swap(psi[base | b0], psi[base | b1]);
-    }
-  });
+  pool.parallel_for(
+      pow2(n - 2), detail::amp_bytes<T>(2),
+      [=, &positions](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t c = b; c < e; ++c) {
+          const std::uint64_t base = insert_zero_bits(c, positions);
+          std::swap(psi[base | b0], psi[base | b1]);
+        }
+      });
 }
 
 /// General 4x4 on (q0, q1) with q0 the matrix LSB.
@@ -324,19 +347,21 @@ void apply_matrix2(std::complex<T>* psi, unsigned n, unsigned q0, unsigned q1,
       m[r * 4 + c] = detail::cast_c<T>(u(r, c));
   std::vector<unsigned> positions = {std::min(q0, q1), std::max(q0, q1)};
   const std::uint64_t b0 = pow2(q0), b1 = pow2(q1);
-  pool.parallel_for(pow2(n - 2), [=, &positions](unsigned, std::uint64_t b,
-                                                 std::uint64_t e) {
-    for (std::uint64_t c = b; c < e; ++c) {
-      const std::uint64_t base = insert_zero_bits(c, positions);
-      const std::uint64_t i[4] = {base, base | b0, base | b1, base | b0 | b1};
-      const std::complex<T> a0 = psi[i[0]], a1 = psi[i[1]], a2 = psi[i[2]],
-                            a3 = psi[i[3]];
-      psi[i[0]] = m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3;
-      psi[i[1]] = m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3;
-      psi[i[2]] = m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3;
-      psi[i[3]] = m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3;
-    }
-  });
+  pool.parallel_for(
+      pow2(n - 2), detail::amp_bytes<T>(4),
+      [=, &positions](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t c = b; c < e; ++c) {
+          const std::uint64_t base = insert_zero_bits(c, positions);
+          const std::uint64_t i[4] = {base, base | b0, base | b1,
+                                      base | b0 | b1};
+          const std::complex<T> a0 = psi[i[0]], a1 = psi[i[1]], a2 = psi[i[2]],
+                                a3 = psi[i[3]];
+          psi[i[0]] = m[0] * a0 + m[1] * a1 + m[2] * a2 + m[3] * a3;
+          psi[i[1]] = m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3;
+          psi[i[2]] = m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3;
+          psi[i[3]] = m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3;
+        }
+      });
 }
 
 /// Diagonal 2-qubit gate diag(d00, d01, d10, d11) on (q0, q1), q0 = LSB.
@@ -346,13 +371,15 @@ void apply_diag2(std::complex<T>* psi, unsigned n, unsigned q0, unsigned q1,
   std::array<std::complex<T>, 4> f;
   for (std::size_t i = 0; i < 4; ++i) f[i] = detail::cast_c<T>(d[i]);
   const std::uint64_t m0 = pow2(q0), m1 = pow2(q1);
-  pool.parallel_for(pow2(n), [=](unsigned, std::uint64_t b, std::uint64_t e) {
-    for (std::uint64_t i = b; i < e; ++i) {
-      const unsigned s = static_cast<unsigned>(((i & m1) != 0) * 2 +
-                                               ((i & m0) != 0));
-      psi[i] *= f[s];
-    }
-  });
+  pool.parallel_for(
+      pow2(n), detail::amp_bytes<T>(1),
+      [=](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t i = b; i < e; ++i) {
+          const unsigned s = static_cast<unsigned>(((i & m1) != 0) * 2 +
+                                                   ((i & m0) != 0));
+          psi[i] *= f[s];
+        }
+      });
 }
 
 // ---- k-qubit kernels ---------------------------------------------------------
@@ -380,7 +407,7 @@ void apply_matrix_k(std::complex<T>* psi, unsigned n,
   std::sort(positions.begin(), positions.end());
 
   pool.parallel_for(
-      pow2(n - k),
+      pow2(n - k), detail::amp_bytes<T>(sub),
       [=, &positions, &offs, &m](unsigned, std::uint64_t b, std::uint64_t e) {
         std::vector<std::complex<T>> in(sub);
         for (std::uint64_t c = b; c < e; ++c) {
@@ -405,10 +432,11 @@ void apply_diag_k(std::complex<T>* psi, unsigned n,
   SVSIM_ASSERT(d.size() == pow2(k));
   std::vector<std::complex<T>> f(d.size());
   for (std::size_t i = 0; i < d.size(); ++i) f[i] = detail::cast_c<T>(d[i]);
-  pool.parallel_for(pow2(n), [=, &qs, &f](unsigned, std::uint64_t b,
-                                          std::uint64_t e) {
-    for (std::uint64_t i = b; i < e; ++i) psi[i] *= f[gather_bits(i, qs)];
-  });
+  pool.parallel_for(
+      pow2(n), detail::amp_bytes<T>(1),
+      [=, &qs, &f](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t i = b; i < e; ++i) psi[i] *= f[gather_bits(i, qs)];
+      });
 }
 
 // ---- block-local kernels and the dispatch table -----------------------------

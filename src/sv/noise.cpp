@@ -44,8 +44,8 @@ void apply_amplitude_damping(StateVector<T>& state, unsigned q, double gamma,
     // normalization the state is the post-jump trajectory.
     const T scale = static_cast<T>(1.0 / std::sqrt(p1));
     state.pool().parallel_for(
-        pow2(n - 1), [psi, q, scale](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
+        pow2(n - 1), detail::amp_bytes<T>(2),
+        [psi, q, scale](unsigned, std::uint64_t b, std::uint64_t e) {
           for (std::uint64_t c = b; c < e; ++c) {
             const std::uint64_t i0 = insert_zero_bit(c, q);
             const std::uint64_t i1 = i0 | pow2(q);
@@ -62,7 +62,8 @@ void apply_amplitude_damping(StateVector<T>& state, unsigned q, double gamma,
     const double p_nojump = 1.0 - p_jump;
     const T scale = static_cast<T>(1.0 / std::sqrt(p_nojump));
     state.pool().parallel_for(
-        pow2(n), [psi, scale](unsigned, std::uint64_t b, std::uint64_t e) {
+        pow2(n), detail::amp_bytes<T>(1),
+        [psi, scale](unsigned, std::uint64_t b, std::uint64_t e) {
           for (std::uint64_t i = b; i < e; ++i) psi[i] *= scale;
         });
   }

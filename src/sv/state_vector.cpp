@@ -30,10 +30,10 @@ template <typename T>
 void StateVector<T>::set_basis_state(std::uint64_t basis) {
   require(basis < size(), "set_basis_state: basis index out of range");
   value_type* psi = amps_.data();
-  pool_->parallel_for(size(), [psi](unsigned, std::uint64_t b,
-                                    std::uint64_t e) {
-    std::fill(psi + b, psi + e, value_type{});
-  });
+  pool_->parallel_for(size(), sizeof(value_type),
+                      [psi](unsigned, std::uint64_t b, std::uint64_t e) {
+                        std::fill(psi + b, psi + e, value_type{});
+                      });
   psi[basis] = value_type{T{1}, T{0}};
 }
 
@@ -42,12 +42,13 @@ void StateVector<T>::set_state(std::span<const std::complex<double>> state) {
   require(state.size() == size(), "set_state: size mismatch");
   value_type* psi = amps_.data();
   const std::complex<double>* src = state.data();
-  pool_->parallel_for(size(), [psi, src](unsigned, std::uint64_t b,
-                                         std::uint64_t e) {
-    for (std::uint64_t i = b; i < e; ++i)
-      psi[i] = value_type{static_cast<T>(src[i].real()),
-                          static_cast<T>(src[i].imag())};
-  });
+  pool_->parallel_for(
+      size(), sizeof(value_type) + sizeof(src[0]),
+      [psi, src](unsigned, std::uint64_t b, std::uint64_t e) {
+        for (std::uint64_t i = b; i < e; ++i)
+          psi[i] = value_type{static_cast<T>(src[i].real()),
+                              static_cast<T>(src[i].imag())};
+      });
 }
 
 template <typename T>
@@ -63,7 +64,8 @@ template <typename T>
 double StateVector<T>::norm_squared() const {
   const value_type* psi = amps_.data();
   return pool_->parallel_reduce(
-      size(), [psi](unsigned, std::uint64_t b, std::uint64_t e) {
+      size(), sizeof(value_type),
+      [psi](unsigned, std::uint64_t b, std::uint64_t e) {
         double acc = 0.0;
         for (std::uint64_t i = b; i < e; ++i) {
           acc += static_cast<double>(psi[i].real()) * psi[i].real() +
@@ -79,7 +81,7 @@ void StateVector<T>::normalize() {
   require(n2 > 0.0, "normalize: zero state");
   const T inv = static_cast<T>(1.0 / std::sqrt(n2));
   value_type* psi = amps_.data();
-  pool_->parallel_for(size(),
+  pool_->parallel_for(size(), sizeof(value_type),
                       [psi, inv](unsigned, std::uint64_t b, std::uint64_t e) {
                         for (std::uint64_t i = b; i < e; ++i) psi[i] *= inv;
                       });
@@ -94,7 +96,8 @@ std::complex<double> StateVector<T>::inner_product(
   // Two reductions (real and imaginary part); simpler than a complex-typed
   // reduce and still one pass each through cache-resident test sizes.
   const double re = pool_->parallel_reduce(
-      size(), [a, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
+      size(), 2 * sizeof(value_type),
+      [a, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
         double acc = 0.0;
         for (std::uint64_t i = lo; i < hi; ++i) {
           acc += static_cast<double>(a[i].real()) * b[i].real() +
@@ -103,7 +106,8 @@ std::complex<double> StateVector<T>::inner_product(
         return acc;
       });
   const double im = pool_->parallel_reduce(
-      size(), [a, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
+      size(), 2 * sizeof(value_type),
+      [a, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
         double acc = 0.0;
         for (std::uint64_t i = lo; i < hi; ++i) {
           acc += static_cast<double>(a[i].real()) * b[i].imag() -
@@ -128,23 +132,30 @@ double StateVector<T>::probability_of_one(unsigned q) const {
   // slices) reproduces `--threads 1` results exactly.
   const std::uint64_t num_chunks = std::min<std::uint64_t>(half, 1u << 12);
   const std::uint64_t chunk = half / num_chunks;
+  const auto chunk_sum = [psi, q, chunk](std::uint64_t k) {
+    double acc = 0.0;
+    for (std::uint64_t c = k * chunk; c < (k + 1) * chunk; ++c) {
+      const std::uint64_t i = insert_zero_bit(c, q) | pow2(q);
+      acc += static_cast<double>(psi[i].real()) * psi[i].real() +
+             static_cast<double>(psi[i].imag()) * psi[i].imag();
+    }
+    return acc;
+  };
+  const std::uint64_t chunk_bytes = chunk * sizeof(value_type);
+  double total = 0.0;
+  if (!pool_->forks(num_chunks, chunk_bytes)) {
+    // Inline: the same additions in the same order, without the array.
+    for (std::uint64_t k = 0; k < num_chunks; ++k) total += chunk_sum(k);
+    return total;
+  }
   std::vector<double> partial(num_chunks, 0.0);
   double* part = partial.data();
-  pool_->parallel_for(
-      num_chunks,
-      [psi, q, chunk, part](unsigned, std::uint64_t b, std::uint64_t e) {
-        for (std::uint64_t k = b; k < e; ++k) {
-          double acc = 0.0;
-          for (std::uint64_t c = k * chunk; c < (k + 1) * chunk; ++c) {
-            const std::uint64_t i = insert_zero_bit(c, q) | pow2(q);
-            acc += static_cast<double>(psi[i].real()) * psi[i].real() +
-                   static_cast<double>(psi[i].imag()) * psi[i].imag();
-          }
-          part[k] = acc;
-        }
-      },
-      /*serial_cutoff=*/8);
-  double total = 0.0;
+  pool_->parallel_for(num_chunks, chunk_bytes,
+                      [&chunk_sum, part](unsigned, std::uint64_t b,
+                                         std::uint64_t e) {
+                        for (std::uint64_t k = b; k < e; ++k)
+                          part[k] = chunk_sum(k);
+                      });
   for (std::uint64_t k = 0; k < num_chunks; ++k) total += partial[k];
   return total;
 }
@@ -177,8 +188,8 @@ void StateVector<T>::collapse(unsigned q, bool outcome, double prob_outcome) {
   value_type* psi = amps_.data();
   const std::uint64_t half = size() / 2;
   pool_->parallel_for(
-      half, [psi, q, outcome, scale](unsigned, std::uint64_t b,
-                                     std::uint64_t e) {
+      half, 2 * sizeof(value_type),
+      [psi, q, outcome, scale](unsigned, std::uint64_t b, std::uint64_t e) {
         for (std::uint64_t c = b; c < e; ++c) {
           const std::uint64_t i0 = insert_zero_bit(c, q);
           const std::uint64_t i1 = i0 | pow2(q);
@@ -205,15 +216,15 @@ void StateVector<T>::reset_qubit(unsigned q, Xoshiro256& rng) {
     // collapsed state is just a relabeling because the |0> half is zero).
     value_type* psi = amps_.data();
     const std::uint64_t half = size() / 2;
-    pool_->parallel_for(half, [psi, q](unsigned, std::uint64_t b,
-                                       std::uint64_t e) {
-      for (std::uint64_t c = b; c < e; ++c) {
-        const std::uint64_t i0 = insert_zero_bit(c, q);
-        const std::uint64_t i1 = i0 | pow2(q);
-        psi[i0] = psi[i1];
-        psi[i1] = value_type{};
-      }
-    });
+    pool_->parallel_for(half, 2 * sizeof(value_type),
+                        [psi, q](unsigned, std::uint64_t b, std::uint64_t e) {
+                          for (std::uint64_t c = b; c < e; ++c) {
+                            const std::uint64_t i0 = insert_zero_bit(c, q);
+                            const std::uint64_t i1 = i0 | pow2(q);
+                            psi[i0] = psi[i1];
+                            psi[i1] = value_type{};
+                          }
+                        });
   }
 }
 
@@ -228,7 +239,7 @@ std::vector<std::uint64_t> StateVector<T>::sample(std::size_t shots,
   std::vector<double> cum(num_chunks + 1, 0.0);
   const value_type* psi = amps_.data();
   pool_->parallel_for(
-      num_chunks,
+      num_chunks, chunk * sizeof(value_type),
       [psi, chunk, &cum](unsigned, std::uint64_t b, std::uint64_t e) {
         for (std::uint64_t k = b; k < e; ++k) {
           double acc = 0.0;
@@ -238,8 +249,7 @@ std::vector<std::uint64_t> StateVector<T>::sample(std::size_t shots,
           }
           cum[k + 1] = acc;
         }
-      },
-      /*serial_cutoff=*/8);
+      });
   for (std::uint64_t k = 0; k < num_chunks; ++k) cum[k + 1] += cum[k];
   const double total = cum[num_chunks];
 
@@ -275,7 +285,8 @@ double StateVector<T>::expectation(const qc::PauliString& pauli) const {
   // <ψ|P|ψ> = Σ_col conj(ψ[col ^ x]) · phase(col) · ψ[col]; phase(col) =
   // i^{y_count} · (-1)^{popcount(z & col)}. The sum is real for Hermitian P.
   const double re = pool_->parallel_reduce(
-      size(), [psi, x, z](unsigned, std::uint64_t b, std::uint64_t e) {
+      size(), 2 * sizeof(value_type),
+      [psi, x, z](unsigned, std::uint64_t b, std::uint64_t e) {
         double acc = 0.0;
         for (std::uint64_t col = b; col < e; ++col) {
           const std::uint64_t row = col ^ x;
@@ -292,7 +303,7 @@ double StateVector<T>::expectation(const qc::PauliString& pauli) const {
       });
   const double im = (y_count % 2 == 1)
                         ? pool_->parallel_reduce(
-                              size(),
+                              size(), 2 * sizeof(value_type),
                               [psi, x, z](unsigned, std::uint64_t b,
                                           std::uint64_t e) {
                                 double acc = 0.0;

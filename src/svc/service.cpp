@@ -153,24 +153,29 @@ void execute_counts(const CachedPlan& cached, const JobRequest& request,
   } else {
     // Trajectory mode: batches of states walk the plan together, each
     // trajectory keyed by its global index so the split does not affect
-    // the statistics.
+    // the statistics. One batch of states is allocated per job and reset
+    // to |0...0> between batches, so the working set stays at batch_bytes.
     const std::uint64_t state_bytes = pow2(n) * std::uint64_t{2 * sizeof(T)};
     const std::size_t batch_size = static_cast<std::size_t>(std::clamp<
         std::uint64_t>(options.batch_bytes / std::max<std::uint64_t>(
                            state_bytes, 1),
                        1, request.shots));
+    std::vector<sv::StateVector<T>> states;
+    states.reserve(batch_size);
+    std::vector<sv::StateVector<T>*> ptrs;
+    ptrs.reserve(batch_size);
+    for (std::size_t i = 0; i < batch_size; ++i) {
+      states.emplace_back(n, pool);
+      ptrs.push_back(&states.back());
+    }
     sv::Simulator<T> sim(sim_opts);
     std::size_t done = 0;
     while (done < request.shots) {
       const std::size_t this_batch =
           std::min(batch_size, request.shots - done);
-      std::vector<sv::StateVector<T>> states;
-      states.reserve(this_batch);
-      std::vector<sv::StateVector<T>*> ptrs;
-      ptrs.reserve(this_batch);
-      for (std::size_t i = 0; i < this_batch; ++i) {
-        states.emplace_back(n, pool);
-        ptrs.push_back(&states.back());
+      if (done > 0) {
+        ptrs.resize(this_batch);
+        for (sv::StateVector<T>* s : ptrs) s->set_basis_state(0);
       }
       const auto bits =
           sim.run_plan_batch(ptrs, *cached.plan, /*first_trajectory=*/done);
@@ -410,6 +415,10 @@ sv::NoiseModel parse_noise(const json::Value& v) {
 /// Widest register a job may name: an amplitude index is a uint64.
 constexpr std::uint64_t kMaxJobQubits = 64;
 constexpr std::uint64_t kMaxUnsigned = std::numeric_limits<unsigned>::max();
+/// Most two-qubit blocks a "qv" job may ask for (floor(qubits / 2) x depth).
+/// The circuit is built at parse time, before admission prices it, so the
+/// bound is checked first; the benchmark's largest QV job has 96 blocks.
+constexpr std::uint64_t kMaxQvBlocks = 65536;
 constexpr std::uint64_t kMaxUint64 = std::numeric_limits<std::uint64_t>::max();
 
 qc::Circuit parse_circuit(const json::Value& job) {
@@ -422,8 +431,8 @@ qc::Circuit parse_circuit(const json::Value& job) {
             "qv must be [qubits, depth] or [qubits, depth, seed]");
     const auto nq =
         static_cast<unsigned>(q->array[0].as_count("qv[0]", kMaxJobQubits));
-    const auto d =
-        static_cast<unsigned>(q->array[1].as_count("qv[1]", kMaxUnsigned));
+    const auto d = static_cast<unsigned>(q->array[1].as_count(
+        "qv[1]", kMaxQvBlocks / std::max<unsigned>(nq / 2, 1)));
     const std::uint64_t seed =
         q->array.size() > 2
             ? q->array[2].as_count("qv[2]", kMaxUint64)

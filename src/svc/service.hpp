@@ -51,8 +51,9 @@ struct ServiceOptions {
   double max_modeled_seconds = 0.0;
   /// Target resident bytes of one trajectory batch's state vectors; the
   /// batch size is max(1, batch_bytes / state_bytes), capped by the shot
-  /// count. Results are invariant to the split (global trajectory seeding).
-  std::uint64_t batch_bytes = 256ull << 20;
+  /// count. A job allocates one batch and reuses it for every batch.
+  /// Results are invariant to the split (global trajectory seeding).
+  std::uint64_t batch_bytes = 64ull << 10;
   /// Threads assumed by the admission price model (0 = all cores).
   unsigned threads = 0;
   /// Amplitude precision for jobs that do not request one ("f64" | "f32").

@@ -123,12 +123,10 @@ TEST(Instrumentation, FusionPublishesBlockWidths) {
 TEST(Instrumentation, ThreadPoolCountsRegions) {
   ThreadPool pool(2);
   pool.reset_stats();
-  pool.parallel_for(
-      1u << 14, [](unsigned, std::uint64_t, std::uint64_t) {},
-      /*serial_cutoff=*/1);
-  pool.parallel_for(
-      4, [](unsigned, std::uint64_t, std::uint64_t) {},
-      /*serial_cutoff=*/1 << 12);
+  pool.parallel_for(1u << 14, kForkGrainBytes,
+                    [](unsigned, std::uint64_t, std::uint64_t) {});
+  pool.parallel_for(4, /*item_bytes=*/16,
+                    [](unsigned, std::uint64_t, std::uint64_t) {});
   const PoolStats stats = pool.stats();
   EXPECT_EQ(stats.parallel_regions, 1u);
   EXPECT_EQ(stats.inline_regions, 1u);

@@ -390,6 +390,43 @@ TEST(Service, TrajectoryResultsInvariantToBatchSplit) {
   EXPECT_EQ(ra.counts, rb.counts);
 }
 
+TEST(Service, DampedTrajectoriesInvariantToBatchAndPoolSize) {
+  // Amplitude damping calls probability_of_one after every gate, so this
+  // job exercises the reused batch states (set_basis_state between
+  // batches, a short last batch) and the inline/forked reductions.
+  const svc::JobRequest req = svc::parse_job_line(
+      R"({"id":"d","qv":[10,3,5],"shots":30,"options":{"seed":9},)"
+      R"("noise":{"amplitude_damping":0.05,"readout":[0.01,0.02]}})");
+  ThreadPool one(1);
+  ThreadPool four(4);
+  std::map<std::string, std::size_t> reference;
+  for (ThreadPool* pool : {&one, &four}) {
+    for (std::uint64_t batch_bytes :
+         {std::uint64_t{1}, svc::ServiceOptions{}.batch_bytes,
+          std::uint64_t{1} << 30}) {
+      svc::ServiceOptions options;
+      options.pool = pool;
+      options.batch_bytes = batch_bytes;
+      svc::Service service(options);
+      const svc::JobResult r = service.run_job(req);
+      ASSERT_TRUE(r.ok) << r.error_message;
+      EXPECT_EQ(r.mode, "trajectory");
+      if (reference.empty()) reference = r.counts;
+      EXPECT_EQ(r.counts, reference)
+          << "threads=" << pool->num_threads() << " batch_bytes="
+          << batch_bytes;
+      if (batch_bytes == svc::ServiceOptions{}.batch_bytes) {
+        // 64 KiB of 16 KiB (n = 10, f64) states: 7 batches of 4, then 2.
+        EXPECT_EQ(r.batch_size, 4u);
+        EXPECT_EQ(r.batches, 8u);
+      }
+    }
+  }
+  std::size_t total = 0;
+  for (const auto& [label, c] : reference) total += c;
+  EXPECT_EQ(total, 30u);
+}
+
 // ---- Serve protocol -----------------------------------------------------
 
 TEST(ServeProtocol, ParseJobLineReadsOptionsAndNoise) {
@@ -417,7 +454,11 @@ TEST(ServeProtocol, ParseJobLineReadsOptionsAndNoise) {
         R"({"qft":4,"options":{"ranks":-2}})", R"({"qv":[4,2,-1]})",
         R"({"qft":2.5})", R"({"qft":65})", R"({"qft":4,"shots":1e999})",
         R"({"qft":4,"shots":0})", R"({"qft":4,"options":{"seed":1e300}})",
-        R"({"qft":4,"options":{"fusion_width":4294967296}})"})
+        R"({"qft":4,"options":{"fusion_width":4294967296}})",
+        // qv blocks (floor(qubits / 2) x depth) are bounded before the
+        // circuit is built.
+        R"({"qv":[4,32769]})", R"({"qv":[64,2049]})",
+        R"({"qv":[4,4000000000]})"})
     EXPECT_THROW(svc::parse_job_line(line), Error) << line;
 }
 

@@ -238,6 +238,58 @@ TEST(StateVector, MarginalSumsToOneAndValidates) {
   EXPECT_THROW(sv.marginal_probabilities({9}), Error);
 }
 
+TEST(StateVector, MeasurementPathIdenticalOnAnyPoolSize) {
+  // probability_of_one and sample sum fixed chunks in chunk order whether
+  // the region forks or runs inline, so every pool size gives the same
+  // bits. The sizes straddle kForkGrainBytes: n = 3 and 10 run every region
+  // inline, n = 14 forks collapse on every pool but probability_of_one only
+  // on two threads, and n = 18 forks both.
+  struct Run {
+    std::vector<double> p1;
+    std::vector<std::uint64_t> samples;
+    std::vector<bool> outcomes;
+    std::vector<std::complex<double>> after;
+    std::uint64_t parallel_regions = 0;
+  };
+  for (unsigned n : {3u, 10u, 14u, 18u}) {
+    Xoshiro256 gen(100 + n);
+    std::vector<std::complex<double>> amps(pow2(n));
+    double norm = 0.0;
+    for (auto& a : amps) {
+      a = {gen.uniform() - 0.5, gen.uniform() - 0.5};
+      norm += std::norm(a);
+    }
+    for (auto& a : amps) a /= std::sqrt(norm);
+
+    const auto run_on = [&](unsigned threads) {
+      ThreadPool pool(threads);
+      StateVector<double> sv(n, &pool);
+      sv.set_state(amps);
+      Run r;
+      for (unsigned q = 0; q < n; ++q)
+        r.p1.push_back(sv.probability_of_one(q));
+      Xoshiro256 rng(7);
+      r.samples = sv.sample(1000, rng);
+      for (unsigned q = 0; q < n; q += 2)
+        r.outcomes.push_back(sv.measure(q, rng));
+      r.after = sv.to_vector();
+      r.parallel_regions = pool.stats().parallel_regions;
+      return r;
+    };
+    const Run ref = run_on(1);
+    for (unsigned threads : {2u, 3u, 4u}) {
+      const Run r = run_on(threads);
+      EXPECT_EQ(r.p1, ref.p1) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(r.samples, ref.samples) << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(r.outcomes, ref.outcomes)
+          << "n=" << n << " threads=" << threads;
+      EXPECT_EQ(r.after, ref.after) << "n=" << n << " threads=" << threads;
+      if (n <= 10) EXPECT_EQ(r.parallel_regions, 0u) << "n=" << n;
+      if (n == 18) EXPECT_GT(r.parallel_regions, 0u) << "threads=" << threads;
+    }
+  }
+}
+
 TEST(StateVectorFloat, SinglePrecisionBasics) {
   StateVector<float> sv(3);
   EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-6);

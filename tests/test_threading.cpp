@@ -44,12 +44,11 @@ TEST(ThreadPool, ParallelForTouchesEveryIndexOnce) {
   ThreadPool pool(4);
   const std::uint64_t count = 100000;
   std::vector<std::atomic<int>> hits(count);
-  pool.parallel_for(
-      count,
-      [&](unsigned, std::uint64_t b, std::uint64_t e) {
-        for (std::uint64_t i = b; i < e; ++i) hits[i].fetch_add(1);
-      },
-      /*serial_cutoff=*/0);
+  pool.parallel_for(count, kForkGrainBytes,
+                    [&](unsigned, std::uint64_t b, std::uint64_t e) {
+                      for (std::uint64_t i = b; i < e; ++i)
+                        hits[i].fetch_add(1);
+                    });
   for (std::uint64_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
@@ -57,18 +56,49 @@ TEST(ThreadPool, SmallRangeRunsInline) {
   ThreadPool pool(4);
   unsigned worker_seen = 99;
   pool.parallel_for(
-      10,
-      [&](unsigned w, std::uint64_t, std::uint64_t) { worker_seen = w; },
-      /*serial_cutoff=*/100);
+      10, /*item_bytes=*/16,
+      [&](unsigned w, std::uint64_t, std::uint64_t) { worker_seen = w; });
   EXPECT_EQ(worker_seen, 0u);  // ran on the caller
+}
+
+TEST(ThreadPool, ForksOnlyWhenEveryShareReachesTheGrain) {
+  ThreadPool pool(4);
+  const auto noop = [](unsigned, std::uint64_t, std::uint64_t) {};
+  // 1024 items on 4 workers: 256 items per share. One byte short of
+  // kForkGrainBytes per share runs inline; exactly the grain forks.
+  const std::uint64_t at_grain = kForkGrainBytes / 256;
+  pool.reset_stats();
+  pool.parallel_for(1024, at_grain - 1, noop);
+  EXPECT_EQ(pool.stats().inline_regions, 1u);
+  EXPECT_EQ(pool.stats().parallel_regions, 0u);
+  pool.parallel_for(1024, at_grain, noop);
+  EXPECT_EQ(pool.stats().inline_regions, 1u);
+  EXPECT_EQ(pool.stats().parallel_regions, 1u);
+  EXPECT_EQ(pool.parallel_reduce(1024, at_grain - 1,
+                                 [](unsigned, std::uint64_t b,
+                                    std::uint64_t e) {
+                                   return static_cast<double>(e - b);
+                                 }),
+            1024.0);
+  EXPECT_EQ(pool.stats().inline_regions, 2u);
+  EXPECT_EQ(pool.stats().parallel_regions, 1u);
+
+  // Fewer items than workers: only the workers with a share count.
+  EXPECT_TRUE(pool.forks(2, kForkGrainBytes));
+  EXPECT_FALSE(pool.forks(2, kForkGrainBytes - 1));
+  EXPECT_FALSE(pool.forks(1, ~std::uint64_t{0} >> 1));
+  EXPECT_FALSE(pool.forks(0, kForkGrainBytes));
+  // A one-thread pool never forks.
+  EXPECT_FALSE(ThreadPool(1).forks(1u << 20, kForkGrainBytes));
 }
 
 TEST(ThreadPool, EmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(0, [&](unsigned, std::uint64_t, std::uint64_t) {
-    called = true;
-  });
+  pool.parallel_for(0, kForkGrainBytes,
+                    [&](unsigned, std::uint64_t, std::uint64_t) {
+                      called = true;
+                    });
   EXPECT_FALSE(called);
 }
 
@@ -76,13 +106,11 @@ TEST(ThreadPool, ReduceSumsCorrectly) {
   ThreadPool pool(4);
   const std::uint64_t count = 1 << 16;
   const double total = pool.parallel_reduce(
-      count,
-      [](unsigned, std::uint64_t b, std::uint64_t e) {
+      count, kForkGrainBytes, [](unsigned, std::uint64_t b, std::uint64_t e) {
         double acc = 0.0;
         for (std::uint64_t i = b; i < e; ++i) acc += static_cast<double>(i);
         return acc;
-      },
-      /*serial_cutoff=*/0);
+      });
   const double expect =
       static_cast<double>(count - 1) * static_cast<double>(count) / 2.0;
   EXPECT_DOUBLE_EQ(total, expect);
@@ -92,12 +120,10 @@ TEST(ThreadPool, ReusableAcrossManyRegions) {
   ThreadPool pool(3);
   std::atomic<std::uint64_t> sum{0};
   for (int round = 0; round < 100; ++round) {
-    pool.parallel_for(
-        1000,
-        [&](unsigned, std::uint64_t b, std::uint64_t e) {
-          sum.fetch_add(e - b);
-        },
-        /*serial_cutoff=*/0);
+    pool.parallel_for(1000, kForkGrainBytes,
+                      [&](unsigned, std::uint64_t b, std::uint64_t e) {
+                        sum.fetch_add(e - b);
+                      });
   }
   EXPECT_EQ(sum.load(), 100000u);
 }
@@ -106,17 +132,13 @@ TEST(ThreadPool, NestedCallsRunSequentially) {
   ThreadPool pool(4);
   std::atomic<std::uint64_t> inner_total{0};
   pool.parallel_for(
-      1000,
-      [&](unsigned, std::uint64_t b, std::uint64_t e) {
+      1000, kForkGrainBytes, [&](unsigned, std::uint64_t b, std::uint64_t e) {
         // Nested region must not deadlock; it runs inline.
-        pool.parallel_for(
-            e - b,
-            [&](unsigned, std::uint64_t ib, std::uint64_t ie) {
-              inner_total.fetch_add(ie - ib);
-            },
-            /*serial_cutoff=*/0);
-      },
-      /*serial_cutoff=*/0);
+        pool.parallel_for(e - b, kForkGrainBytes,
+                          [&](unsigned, std::uint64_t ib, std::uint64_t ie) {
+                            inner_total.fetch_add(ie - ib);
+                          });
+      });
   EXPECT_EQ(inner_total.load(), 1000u);
 }
 
@@ -124,7 +146,7 @@ TEST(ThreadPool, SingleThreadPoolWorks) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.num_threads(), 1u);
   double sum = pool.parallel_reduce(
-      100, [](unsigned, std::uint64_t b, std::uint64_t e) {
+      100, kForkGrainBytes, [](unsigned, std::uint64_t b, std::uint64_t e) {
         return static_cast<double>(e - b);
       });
   EXPECT_DOUBLE_EQ(sum, 100.0);
@@ -227,7 +249,7 @@ TEST(ThreadPool, PinnedPoolStillComputesCorrectly) {
   pool.pin_threads(p);  // must not crash; reports false without an API
 #endif
   const double sum = pool.parallel_reduce(
-      1000, [](unsigned, std::uint64_t b, std::uint64_t e) {
+      1000, kForkGrainBytes, [](unsigned, std::uint64_t b, std::uint64_t e) {
         return static_cast<double>(e - b);
       });
   EXPECT_DOUBLE_EQ(sum, 1000.0);
