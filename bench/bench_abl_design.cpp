@@ -17,6 +17,7 @@
 #include "qc/library.hpp"
 #include "sv/fusion.hpp"
 #include "sv/kernels.hpp"
+#include "sv/simulator.hpp"
 
 using namespace svsim;
 
@@ -150,7 +151,7 @@ void ablation_kernel_variant(bench::BenchContext& ctx) {
     mo.model_bytes = bytes;
     const auto tb = ctx.measure(
         bench::sub("kernel.blocked.t", target),
-        [&] { sv::apply_matrix1(state.data(), n, target, u, state.pool()); },
+        [&] { sv::apply_gate(state, qc::Gate::unitary({target}, u)); },
         mo);
     const auto tp = ctx.measure(
         bench::sub("kernel.pairwise.t", target),

@@ -6,9 +6,10 @@
 // work). The achieved-GB/s column comes from the harness' attribution join.
 #include "bench_util.hpp"
 
+#include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "qc/matrix.hpp"
-#include "sv/kernels.hpp"
+#include "sv/simulator.hpp"
 
 using namespace svsim;
 
@@ -35,7 +36,7 @@ SVSIM_BENCH(micro_kernels, "Micro", "hot-kernel wall-clock on the host") {
       mo.model_bytes = bytes;
       const auto st = ctx.measure(
           bench::sub("h.t", target),
-          [&] { sv::apply_h(state.data(), n, target, state.pool()); }, mo);
+          [&] { sv::apply_gate(state, qc::Gate::h(target)); }, mo);
       row(bench::sub("h t=", target), st, bytes);
     }
   }
@@ -43,20 +44,17 @@ SVSIM_BENCH(micro_kernels, "Micro", "hot-kernel wall-clock on the host") {
     BenchContext::MeasureOpts mo;
     mo.model_bytes = bytes;
     const auto st = ctx.measure(
-        "x.t9", [&] { sv::apply_x(state.data(), n, 9, state.pool()); }, mo);
+        "x.t9", [&] { sv::apply_gate(state, qc::Gate::x(9)); }, mo);
     row("x t=9", st, bytes);
   }
   {
-    const auto st = ctx.measure("diag.t9", [&] {
-      sv::apply_diag1(state.data(), n, 9, {1.0, 0.0}, {0.0, 1.0},
-                      state.pool());
-    });
+    const auto st = ctx.measure(
+        "diag.t9", [&] { sv::apply_gate(state, qc::Gate::s(9)); });
     row("diag t=9", st, bytes);
   }
   {
-    const auto st = ctx.measure("cx.c3.t11", [&] {
-      sv::apply_mcx(state.data(), n, {3}, 11, state.pool());
-    });
+    const auto st = ctx.measure(
+        "cx.c3.t11", [&] { sv::apply_gate(state, qc::Gate::cx(3, 11)); });
     row("cx 3->11", st, bytes / 2);
   }
   {
@@ -65,7 +63,7 @@ SVSIM_BENCH(micro_kernels, "Micro", "hot-kernel wall-clock on the host") {
     BenchContext::MeasureOpts mo;
     mo.model_bytes = bytes;
     const auto st = ctx.measure("matrix2.t3.t11", [&] {
-      sv::apply_matrix2(state.data(), n, 3, 11, u, state.pool());
+      sv::apply_gate(state, qc::Gate::unitary({3, 11}, u));
     }, mo);
     row("matrix2 3,11", st, bytes);
   }
@@ -74,11 +72,12 @@ SVSIM_BENCH(micro_kernels, "Micro", "hot-kernel wall-clock on the host") {
     Xoshiro256 rng(k);
     std::vector<unsigned> qs;
     for (unsigned i = 0; i < k; ++i) qs.push_back(2 * i + 1);
-    const qc::Matrix u = qc::Matrix::random_unitary(pow2(k), rng);
+    const qc::Gate fused =
+        qc::Gate::unitary(qs, qc::Matrix::random_unitary(pow2(k), rng));
     BenchContext::MeasureOpts mo;
     mo.model_bytes = bytes;
     const auto st = ctx.measure(bench::sub("fused.k", k), [&] {
-      sv::apply_matrix_k(state.data(), n, qs, u, state.pool());
+      sv::apply_gate(state, fused);
     }, mo);
     row(bench::sub("fused k=", k), st, bytes);
   }

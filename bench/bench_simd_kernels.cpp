@@ -1,6 +1,7 @@
 // SIMD backend comparison: every available kernel backend × precision ×
 // hand-vectorized KernelClass, measured as achieved GB/s on one serial
-// cache-block application (the unit the blocked engine dispatches). The
+// table call over the whole counter range (the unit every executor
+// dispatches, here without the pool split). The
 // scalar backend rows are the reference the speedup records divide by;
 // regenerate_results.sh asserts the records exist and, on an AVX2 host,
 // that the hand-vectorized f32 Hadamard and Matrix1 kernels beat scalar
@@ -46,7 +47,11 @@ double measure_class(BenchContext& ctx, const std::string& id,
   BenchContext::MeasureOpts mo;
   mo.model_bytes = bytes;
   const auto st = ctx.measure(
-      id, [&] { sv::apply_gate_in_block(state.data(), n, pg); }, mo);
+      id,
+      [&] {
+        sv::apply_range(state.data(), pg, 0, pow2(n - pg.counter_bits));
+      },
+      mo);
   return st.median;
 }
 

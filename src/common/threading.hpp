@@ -19,10 +19,11 @@
 // kForkGrainBytes comes from the measured crossover below: microseconds
 // per call on a 1-thread pool (inline) and on a 4-thread pool forced to
 // fork (grain 0), f64, median of 7 repeats, 4-core Xeon VM, GCC 12 -O3
-// -march=native. probability_of_one reads half the state, apply_h reads
-// and writes all of it; "/worker" is the bytes each of the 4 shares gets.
+// -march=native. probability_of_one reads half the state; H on qubit 0
+// (timed with the scalar whole-state kernel of the time) reads and writes
+// all of it; "/worker" is the bytes each of the 4 shares gets.
 //
-//    n   state   probability_of_one(n-1)    apply_h(0)
+//    n   state   probability_of_one(n-1)    H on qubit 0
 //                1t     4t    KiB/worker    1t     4t    KiB/worker
 //   10   16 KiB   2.0   16.0      2         2.8   16.4      4
 //   11   32 KiB   5.2   18.1      4         6.1   17.2      8
@@ -36,7 +37,7 @@
 //
 // A fork-join costs about 16 us here, so forking breaks even at 32-64 KiB
 // per worker for both kernels and wins from 128 KiB. G = 64 KiB forks
-// apply_h from n = 14 and probability_of_one from n = 15, and keeps every
+// an H gate from n = 14 and probability_of_one from n = 15, and keeps every
 // region of a state up to 128 KiB (n <= 13, f64) on the caller.
 //
 // There is no runtime probe: the constant is fixed at compile time. The

@@ -164,7 +164,11 @@ std::vector<PreparedGate<T>> prepare_sweep(const Gate* gates,
   return prepared;
 }
 
-/// The block loop of one sweep over one state, gates already prepared.
+/// The block loop of one sweep over one state, gates already prepared. A
+/// block of 2^b amplitudes is, for a gate with k counter bits, the counter
+/// range [blk * 2^(b-k), (blk + 1) * 2^(b-k)) of the same table entries
+/// apply_prepared uses, so blocking does not change any amplitude's
+/// arithmetic.
 template <typename T>
 void run_sweep_prepared(StateVector<T>& state, const PreparedGate<T>* pgs,
                         std::size_t count, unsigned block_qubits) {
@@ -177,9 +181,10 @@ void run_sweep_prepared(StateVector<T>& state, const PreparedGate<T>* pgs,
       num_blocks, detail::amp_bytes<T>(pow2(b)),
       [psi, pgs, count, b](unsigned, std::uint64_t lo, std::uint64_t hi) {
         for (std::uint64_t blk = lo; blk < hi; ++blk) {
-          std::complex<T>* block = psi + (blk << b);
-          for (std::size_t g = 0; g < count; ++g)
-            apply_gate_in_block(block, b, pgs[g]);
+          for (std::size_t g = 0; g < count; ++g) {
+            const unsigned shift = b - pgs[g].counter_bits;
+            apply_range(psi, pgs[g], blk << shift, (blk + 1) << shift);
+          }
         }
       });
 }
@@ -398,8 +403,13 @@ EngineStats run_plan_batch(const std::vector<StateVector<T>*>& states,
         for (const auto& g : phase.gates) {
           const std::uint64_t gate_bytes = approx_streamed_bytes<T>(g, n);
           const std::uint64_t start_ns = tracing ? tracer.now_ns() : 0;
+          // One preparation serves the batch; a default PreparedGate is
+          // the no-op class.
+          const PreparedGate<T> pg = classify_gate(g) == KernelClass::Nop
+                                         ? PreparedGate<T>{}
+                                         : prepare_gate<T>(g);
           for (std::size_t i = 0; i < batch; ++i) {
-            apply_gate(*states[i], g);
+            apply_prepared(states[i]->data(), n, pg, states[i]->pool());
             if (hooks.after_gate) hooks.after_gate(i, *states[i], g);
           }
           if (tracing)
@@ -421,7 +431,9 @@ EngineStats run_plan_batch(const std::vector<StateVector<T>*>& states,
           const std::uint64_t swap_bytes =
               approx_streamed_bytes<T>(swap_gate, n);
           const std::uint64_t start_ns = tracing ? tracer.now_ns() : 0;
-          for (StateVector<T>* s : states) apply_gate(*s, swap_gate);
+          const PreparedGate<T> pg = prepare_gate<T>(swap_gate);
+          for (StateVector<T>* s : states)
+            apply_prepared(s->data(), n, pg, s->pool());
           if (tracing)
             tracer.record_span("exchange", obs::SpanCategory::Collective,
                                swap_gate.qubits.data(), 2,

@@ -9,9 +9,10 @@
 //    first-touch initialization used, so on NUMA machines every worker
 //    streams pages it owns — and runs the whole sweep over one block while
 //    it is cache-resident. k gates cost ~1 traversal instead of k.
-//  * DenseGate phases fall back to the whole-state kernels via apply_gate;
-//    every gate records its tracer span and counts toward the stats (so
-//    traces see blocked and unblocked runs alike).
+//  * DenseGate phases apply each gate to the whole state: apply_gate
+//    prepares it and runs the same table entry over the full counter range,
+//    split across the pool; every gate records its tracer span and counts
+//    toward the stats (so traces see blocked and unblocked runs alike).
 //  * Exchange phases with moves_data perform the slot swaps on the full
 //    state — exactly the data movement the pairwise rank exchange performs;
 //    cost-only exchanges are skipped.
@@ -36,7 +37,7 @@ namespace svsim::sv {
 struct EngineStats {
   std::size_t sweeps = 0;             ///< blocked steps executed
   std::size_t blocked_gates = 0;      ///< gates applied on the blocked path
-  std::size_t passthrough_gates = 0;  ///< gates applied by whole-state kernels
+  std::size_t passthrough_gates = 0;  ///< gates applied to the whole state
   std::size_t traversals = 0;         ///< state traversals performed
   std::size_t exchanges = 0;          ///< slot swaps applied for Exchange phases
   std::size_t measure_ops = 0;        ///< MEASURE/RESET dispatched to the hook

@@ -115,7 +115,7 @@ PreparedGate<T> prepare_gate(const Gate& g) {
   pg.cls = classify_gate(g);
   pg.qubits = g.qubits;
   require(pg.cls != KernelClass::Unsupported,
-          "prepare_gate: MEASURE/RESET have no block kernel");
+          "prepare_gate: MEASURE/RESET have no unitary kernel");
 
   // Sorted operand positions + masks (used by the gather-style kernels).
   pg.sorted = g.qubits;
@@ -125,8 +125,16 @@ PreparedGate<T> prepare_gate(const Gate& g) {
   const auto targets = g.targets();
   pg.target = targets.empty() ? 0 : targets[0];
 
+  // Counter space: the 1-target and gather classes skip every operand bit;
+  // the per-amplitude diagonal classes skip none.
+  const unsigned k = static_cast<unsigned>(pg.sorted.size());
+  pg.counter_bits = k;
+  pg.counter_amps = 2;
   switch (pg.cls) {
     case KernelClass::Nop:
+      pg.counter_bits = 0;
+      pg.counter_amps = 0;
+      break;
     case KernelClass::PermX:
     case KernelClass::PermY:
     case KernelClass::PermSwap:
@@ -146,6 +154,7 @@ PreparedGate<T> prepare_gate(const Gate& g) {
     case KernelClass::McPhase: {
       const qc::Matrix u = g.target_matrix();
       pg.coeff = {detail::cast_c<T>(u(1, 1))};
+      pg.counter_amps = 1;
       break;
     }
     case KernelClass::Matrix1:
@@ -160,11 +169,14 @@ PreparedGate<T> prepare_gate(const Gate& g) {
       pg.coeff = cast_matrix<T>(g.kind == GateKind::UNITARY
                                     ? g.matrix_payload()
                                     : g.matrix());
+      pg.counter_amps = 4;
       break;
     case KernelClass::Diag2: {
       const qc::Matrix u = g.matrix();
       pg.coeff = {detail::cast_c<T>(u(0, 0)), detail::cast_c<T>(u(1, 1)),
                   detail::cast_c<T>(u(2, 2)), detail::cast_c<T>(u(3, 3))};
+      pg.counter_bits = 0;
+      pg.counter_amps = 1;
       break;
     }
     case KernelClass::DiagK: {
@@ -172,12 +184,12 @@ PreparedGate<T> prepare_gate(const Gate& g) {
       pg.coeff.resize(d.size());
       for (std::size_t i = 0; i < d.size(); ++i)
         pg.coeff[i] = detail::cast_c<T>(d[i]);
+      pg.counter_bits = 0;
+      pg.counter_amps = 1;
       break;
     }
     case KernelClass::MatrixK: {
-      const unsigned k = g.num_qubits();
-      require(k <= detail::blk::kMaxBlockMatrixK,
-              "prepare_gate: dense width too large for the block path");
+      require(k <= kMaxMatrixK, "prepare_gate: dense width too large");
       pg.coeff = cast_matrix<T>(g.kind == GateKind::UNITARY
                                     ? g.matrix_payload()
                                     : g.matrix());
@@ -185,6 +197,7 @@ PreparedGate<T> prepare_gate(const Gate& g) {
       pg.offs.resize(sub);
       for (std::uint64_t s = 0; s < sub; ++s)
         pg.offs[s] = scatter_bits(s, g.qubits);
+      pg.counter_amps = static_cast<unsigned>(sub);
       break;
     }
     case KernelClass::Unsupported:

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "sv/kernels.hpp"
+#include "sv/simulator.hpp"
 
 namespace svsim::sv {
 
@@ -21,12 +22,9 @@ void apply_random_pauli(StateVector<T>& state,
     const unsigned q = qubits[i];
     switch (code) {
       case 0: break;
-      case 1: apply_x(state.data(), state.num_qubits(), q, state.pool()); break;
-      case 2: apply_y(state.data(), state.num_qubits(), q, state.pool()); break;
-      case 3:
-        apply_diag1(state.data(), state.num_qubits(), q, {1.0, 0.0},
-                    {-1.0, 0.0}, state.pool());
-        break;
+      case 1: apply_gate(state, qc::Gate::x(q)); break;
+      case 2: apply_gate(state, qc::Gate::y(q)); break;
+      case 3: apply_gate(state, qc::Gate::z(q)); break;
     }
   }
 }
@@ -54,18 +52,13 @@ void apply_amplitude_damping(StateVector<T>& state, unsigned q, double gamma,
           }
         });
   } else {
-    // No-jump K0 = diag(1, √(1-γ)), then renormalize by the no-jump
-    // probability 1 - γ·p1.
-    const T damp = static_cast<T>(std::sqrt(1.0 - gamma));
-    apply_diag1(psi, n, q, {1.0, 0.0},
-                {static_cast<double>(damp), 0.0}, state.pool());
-    const double p_nojump = 1.0 - p_jump;
-    const T scale = static_cast<T>(1.0 / std::sqrt(p_nojump));
-    state.pool().parallel_for(
-        pow2(n), detail::amp_bytes<T>(1),
-        [psi, scale](unsigned, std::uint64_t b, std::uint64_t e) {
-          for (std::uint64_t i = b; i < e; ++i) psi[i] *= scale;
-        });
+    // No-jump K0 = diag(1, √(1-γ)), renormalized by the no-jump probability
+    // 1 - γ·p1: one Diag1 pass with d0 = scale, d1 = √(1-γ)·scale.
+    const double scale = 1.0 / std::sqrt(1.0 - p_jump);
+    PreparedGate<T> pg = prepare_gate<T>(qc::Gate::z(q));
+    pg.coeff = {detail::cast_c<T>(scale),
+                detail::cast_c<T>(std::sqrt(1.0 - gamma) * scale)};
+    apply_prepared(psi, n, pg, state.pool());
   }
 }
 
@@ -124,13 +117,12 @@ void NoiseModel::apply_after(StateVector<T>& state, const qc::Gate& gate,
       case NoiseChannel::Type::BitFlip:
         for (unsigned q : gate.qubits)
           if (rng.uniform() < ch.parameter)
-            apply_x(state.data(), state.num_qubits(), q, state.pool());
+            apply_gate(state, qc::Gate::x(q));
         break;
       case NoiseChannel::Type::PhaseFlip:
         for (unsigned q : gate.qubits)
           if (rng.uniform() < ch.parameter)
-            apply_diag1(state.data(), state.num_qubits(), q, {1.0, 0.0},
-                        {-1.0, 0.0}, state.pool());
+            apply_gate(state, qc::Gate::z(q));
         break;
       case NoiseChannel::Type::AmplitudeDamping:
         for (unsigned q : gate.qubits)

@@ -5,8 +5,8 @@
 //   LocalSweep   — k grouped gates, all operands below the block boundary,
 //                  applied per cache block in one traversal of the local
 //                  partition (sv/engine.hpp);
-//   DenseGate    — one gate executed by the whole-state kernel dispatch
-//                  (operands anywhere below local_qubits, plus node-slot
+//   DenseGate    — one gate applied to the whole state (its kernel entry
+//                  over the full counter range; operands anywhere below local_qubits, plus node-slot
 //                  controls/diagonals which are free on the wire);
 //   Exchange     — a qubit-remap collective window: pairwise partner
 //                  exchanges that move node-slot qubits into local slots
@@ -31,7 +31,7 @@
 // node rank. Executed on a single in-memory state, a slot-space plan is
 // amplitude-exact: an Exchange's slot swaps are real SWAP applications (the
 // same data movement 2^node_qubits ranks would perform pairwise), and
-// whole-state kernels applied across the partition boundary reproduce what
+// whole-state gate applications across the partition boundary reproduce what
 // each rank computes on its 2^local_qubits amplitudes.
 #pragma once
 

@@ -24,8 +24,8 @@ static_assert(ContextConfig{}.simd_isa == -1);
 namespace {
 
 struct Tables {
-  std::array<BlockKernelFn<float>, kNumKernelClasses> f32;
-  std::array<BlockKernelFn<double>, kNumKernelClasses> f64;
+  std::array<KernelFn<float>, kNumKernelClasses> f32;
+  std::array<KernelFn<double>, kNumKernelClasses> f64;
 };
 
 struct Entry {
@@ -64,8 +64,8 @@ bool cpu_supports(Isa isa) {
 Entry make_entry(Isa isa) {
   Entry e;
   e.isa = isa;
-  e.tables.f32 = block_kernel_table<float>();
-  e.tables.f64 = block_kernel_table<double>();
+  e.tables.f32 = kernel_table<float>();
+  e.tables.f64 = kernel_table<double>();
   if (isa == Isa::Scalar) {
     e.compiled = true;
     e.available = true;
@@ -243,19 +243,19 @@ void count_dispatch(KernelClass cls, obs::MetricsRegistry& registry) {
 
 namespace svsim::sv {
 
-// The dispatch points kernels.hpp routes apply_gate_in_block through.
-// One relaxed atomic load per (gate, block) application; the unnamed-
+// The dispatch points kernels.hpp routes apply_range / apply_prepared
+// through. One acquire load per (gate, range) application; the unnamed-
 // namespace active_entry() is reachable here because this is its TU.
 
 template <>
-const std::array<BlockKernelFn<float>, kNumKernelClasses>&
-active_block_kernel_table<float>() {
+const std::array<KernelFn<float>, kNumKernelClasses>&
+active_kernel_table<float>() {
   return simd::active_entry().tables.f32;
 }
 
 template <>
-const std::array<BlockKernelFn<double>, kNumKernelClasses>&
-active_block_kernel_table<double>() {
+const std::array<KernelFn<double>, kNumKernelClasses>&
+active_kernel_table<double>() {
   return simd::active_entry().tables.f64;
 }
 

@@ -3,13 +3,14 @@
 // SIMD kernel backend registry with runtime CPU dispatch.
 //
 // Each backend is a full 16-entry KernelClass table per precision, built
-// from the portable scalar reference (`sv::block_kernel_table`) with the
+// from the portable scalar reference (`sv::kernel_table`) with the
 // hand-vectorized hot entries (Hadamard, Diag1, Matrix1, Matrix2)
-// substituted where the backend provides them. `apply_gate_in_block`
-// dispatches through `sv::active_block_kernel_table<T>()` (declared in
-// kernels.hpp, defined by this subsystem), so sweeps, run_plan,
-// run_plan_batch, and the svc service all inherit the selected backend
-// with zero call-site changes.
+// substituted where the backend provides them. Every gate application —
+// `apply_range` from the blocked engine, `apply_prepared` from `apply_gate`,
+// DenseGate and Exchange phases, the batch executor and the noise channels —
+// dispatches through `sv::active_kernel_table<T>()` (declared in
+// kernels.hpp, defined by this subsystem), so every path inherits the
+// selected backend.
 //
 // Selection order: explicit select_backend() call (the CLI `--simd`
 // option) > `SVSIM_SIMD` environment variable > runtime CPU detection
@@ -21,7 +22,11 @@
 // scalar table within a few ulps per gate application — the documented
 // bounds (docs/ARCHITECTURE.md) are 1e-12 relative for f64 and 1e-4 for
 // f32 over whole random-circuit states; exact for pure permutation and
-// Hadamard entries (same operation order, no FMA contraction).
+// Hadamard entries (same operation order, no FMA contraction). Within one
+// backend an entry's result does not depend on how its counter space is
+// split into ranges (pool size, blocking, batching): ranges are aligned to
+// kRangeGranule, and the AVX2 scalar head/tail code mirrors the vector
+// rounding exactly.
 
 #include <cstddef>
 #include <string>
@@ -67,7 +72,7 @@ std::vector<BackendInfo> backends();
 /// Generic; Generic and Scalar are always available).
 Isa detect_isa();
 
-/// The backend block kernels currently dispatch through. Forces default
+/// The backend kernels currently dispatch through. Forces default
 /// selection if none has happened yet.
 BackendInfo active_backend();
 

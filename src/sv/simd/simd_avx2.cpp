@@ -1,5 +1,6 @@
-// AVX2+FMA block kernels: 256-bit vectors over interleaved complex
-// amplitudes (2 complex<double> or 4 complex<float> per register).
+// AVX2+FMA kernels: 256-bit vectors over interleaved complex amplitudes
+// (2 complex<double> or 4 complex<float> per register), applied to a
+// counter range (sv/kernels.hpp).
 //
 // The low-target cases — the pair partner sits inside the vector — are
 // handled with in-register permutes instead of scalar fallback: this is
@@ -8,6 +9,11 @@
 // Complex multiply uses the movedup/permute + fmaddsub idiom, so results
 // can differ from the scalar reference by FMA contraction (<= a few ulps
 // per gate); Hadamard keeps the scalar operation order and stays exact.
+// Range heads and tails that do not fill a vector run scalar code that
+// rounds exactly like the vector lanes, so results never depend on the
+// range split. No entry calls the scalar reference table: this TU is
+// built with -mfma, and instantiating those shared templates here could
+// hand FMA code to the scalar backend.
 //
 // Compiled only when the TU is built with -mavx2 -mfma (see
 // src/sv/CMakeLists.txt); otherwise this file still links and reports
@@ -18,6 +24,8 @@
 #if defined(__x86_64__) && defined(__AVX2__) && defined(__FMA__)
 #define SVSIM_HAVE_AVX2_KERNELS 1
 #include <immintrin.h>
+
+#include <cmath>
 #endif
 
 namespace svsim::sv::simd::detail {
@@ -26,9 +34,71 @@ namespace svsim::sv::simd::detail {
 
 namespace {
 
-namespace blk = ::svsim::sv::detail::blk;
-
 constexpr std::size_t idx(KernelClass c) { return static_cast<std::size_t>(c); }
+
+// ---- range walkers ---------------------------------------------------------
+
+/// Walks counters [begin, end) in granules of `g` counters (a power of two)
+/// that one vector covers: whole aligned granules go to vec(c), the
+/// unaligned head and tail counters to scalar(c).
+template <typename Vec, typename Scalar>
+inline void for_granules(std::uint64_t begin, std::uint64_t end,
+                         std::uint64_t g, Vec&& vec, Scalar&& scalar) {
+  std::uint64_t c = begin;
+  for (; c < end && (c & (g - 1)) != 0; ++c) scalar(c);
+  for (; c + g <= end; c += g) vec(c);
+  for (; c < end; ++c) scalar(c);
+}
+
+// ---- scalar mirrors of the vector arithmetic ------------------------------
+//
+// Counters that do not fill a vector go through these. Each reproduces the
+// vector rounding lane for lane (cmul_fma is one fmaddsub lane), so an
+// amplitude gets the same bits whichever path reaches it and a range split
+// never changes a result.
+
+template <typename T>
+inline std::complex<T> cmul_fma(std::complex<T> a, std::complex<T> b) {
+  return {std::fma(a.real(), b.real(), -(a.imag() * b.imag())),
+          std::fma(a.imag(), b.real(), a.real() * b.imag())};
+}
+
+template <typename T>
+inline void h_pair(std::complex<T>& lo, std::complex<T>& hi, T s) {
+  const std::complex<T> a0 = lo, a1 = hi;
+  lo = {(a0.real() + a1.real()) * s, (a0.imag() + a1.imag()) * s};
+  hi = {(a0.real() - a1.real()) * s, (a0.imag() - a1.imag()) * s};
+}
+
+template <typename T>
+inline void m1_pair(std::complex<T>& lo, std::complex<T>& hi,
+                    const std::complex<T>* m) {
+  const std::complex<T> a0 = lo, a1 = hi;
+  lo = cmul_fma(a0, m[0]) + cmul_fma(a1, m[1]);
+  hi = cmul_fma(a0, m[2]) + cmul_fma(a1, m[3]);
+}
+
+/// One Matrix2 quad at counter c, summed in the vector order.
+template <typename T>
+inline void m2_quad(std::complex<T>* psi, const PreparedGate<T>& pg,
+                    std::uint64_t c) {
+  const std::complex<T>* m = pg.coeff.data();
+  const std::uint64_t b0 = pow2(pg.qubits[0]), b1 = pow2(pg.qubits[1]);
+  const std::uint64_t base = insert_zero_bits(c, pg.sorted);
+  const std::uint64_t i[4] = {base, base | b0, base | b1, base | b0 | b1};
+  const std::complex<T> a[4] = {psi[i[0]], psi[i[1]], psi[i[2]], psi[i[3]]};
+  for (int r = 0; r < 4; ++r)
+    psi[i[r]] = (cmul_fma(a[0], m[4 * r]) + cmul_fma(a[1], m[4 * r + 1])) +
+                (cmul_fma(a[2], m[4 * r + 2]) + cmul_fma(a[3], m[4 * r + 3]));
+}
+
+/// Runs pair(lo, hi) on the amplitude pair of counter c on target t.
+template <typename T, typename Pair>
+inline void at_pair(std::complex<T>* psi, unsigned t, std::uint64_t c,
+                    Pair&& pair) {
+  std::complex<T>* lo = psi + insert_zero_bit(c, t);
+  pair(lo[0], lo[pow2(t)]);
+}
 
 // ---- double: 2 complexes per __m256d -------------------------------------
 
@@ -53,132 +123,135 @@ inline __m256d cmul_d(__m256d a, const CconstD& b) {
   return _mm256_fmaddsub_pd(a, b.re, _mm256_mul_pd(a_sw, b.im));
 }
 
-void hadamard_d(std::complex<double>* psi, unsigned nb,
-                const PreparedGate<double>& pg) {
-  const __m256d vs = _mm256_set1_pd(0.70710678118654752440);
+// At t = 0 one vector holds exactly one pair (counter c at amplitude 2c),
+// so the in-register paths need no scalar head or tail.
+
+void hadamard_d(std::complex<double>* psi, const PreparedGate<double>& pg,
+                std::uint64_t begin, std::uint64_t end) {
+  const double s = 0.70710678118654752440;
+  const __m256d vs = _mm256_set1_pd(s);
   double* p = reinterpret_cast<double*>(psi);
-  const std::uint64_t size = pow2(nb);
-  const unsigned t = pg.target;
-  if (t == 0) {
+  if (pg.target == 0) {
     // Partner is the adjacent complex: swap the 128-bit halves.
-    for (std::uint64_t i = 0; i < size; i += 2) {
-      const __m256d v = _mm256_loadu_pd(p + 2 * i);
+    for (std::uint64_t c = begin; c < end; ++c) {
+      const __m256d v = _mm256_loadu_pd(p + 4 * c);
       const __m256d w = _mm256_permute2f128_pd(v, v, 0x01);
       const __m256d plus = _mm256_mul_pd(_mm256_add_pd(v, w), vs);
       const __m256d minus = _mm256_mul_pd(_mm256_sub_pd(w, v), vs);
-      _mm256_storeu_pd(p + 2 * i, _mm256_blend_pd(plus, minus, 0xC));
+      _mm256_storeu_pd(p + 4 * c, _mm256_blend_pd(plus, minus, 0xC));
     }
     return;
   }
-  const std::uint64_t stride = pow2(t);
-  for (std::uint64_t base = 0; base < size; base += 2 * stride) {
-    double* lo = p + 2 * base;
-    double* hi = lo + 2 * stride;
-    for (std::uint64_t j = 0; j < 2 * stride; j += 4) {
-      const __m256d a0 = _mm256_loadu_pd(lo + j);
-      const __m256d a1 = _mm256_loadu_pd(hi + j);
-      _mm256_storeu_pd(lo + j, _mm256_mul_pd(_mm256_add_pd(a0, a1), vs));
-      _mm256_storeu_pd(hi + j, _mm256_mul_pd(_mm256_sub_pd(a0, a1), vs));
-    }
-  }
+  for_run_vectors(
+      psi, pg.target, begin, end, 2,
+      [&](double* lo, double* hi) {
+        const __m256d a0 = _mm256_loadu_pd(lo);
+        const __m256d a1 = _mm256_loadu_pd(hi);
+        _mm256_storeu_pd(lo, _mm256_mul_pd(_mm256_add_pd(a0, a1), vs));
+        _mm256_storeu_pd(hi, _mm256_mul_pd(_mm256_sub_pd(a0, a1), vs));
+      },
+      [&](std::complex<double>& lo, std::complex<double>& hi) {
+        h_pair(lo, hi, s);
+      });
 }
 
-void diag1_d(std::complex<double>* psi, unsigned nb,
-             const PreparedGate<double>& pg) {
+void diag1_d(std::complex<double>* psi, const PreparedGate<double>& pg,
+             std::uint64_t begin, std::uint64_t end) {
   const std::complex<double> f0 = pg.coeff[0], f1 = pg.coeff[1];
   double* p = reinterpret_cast<double*>(psi);
-  const std::uint64_t size = pow2(nb);
-  const unsigned t = pg.target;
-  if (t == 0) {
+  if (pg.target == 0) {
     // lo/hi alternate within the vector: one strided-free pass.
     const CconstD c01 = cpair_d(f0, f1);
-    for (std::uint64_t i = 0; i < size; i += 2)
-      _mm256_storeu_pd(p + 2 * i, cmul_d(_mm256_loadu_pd(p + 2 * i), c01));
+    for (std::uint64_t c = begin; c < end; ++c)
+      _mm256_storeu_pd(p + 4 * c, cmul_d(_mm256_loadu_pd(p + 4 * c), c01));
     return;
   }
   const bool skip_lower = (f0 == std::complex<double>{1.0, 0.0});
   const CconstD c0 = cdup_d(f0), c1 = cdup_d(f1);
-  const std::uint64_t stride = pow2(t);
-  for (std::uint64_t base = 0; base < size; base += 2 * stride) {
-    double* lo = p + 2 * base;
-    double* hi = lo + 2 * stride;
-    for (std::uint64_t j = 0; j < 2 * stride; j += 4) {
-      if (!skip_lower)
-        _mm256_storeu_pd(lo + j, cmul_d(_mm256_loadu_pd(lo + j), c0));
-      _mm256_storeu_pd(hi + j, cmul_d(_mm256_loadu_pd(hi + j), c1));
-    }
-  }
+  for_run_vectors(
+      psi, pg.target, begin, end, 2,
+      [&](double* lo, double* hi) {
+        if (!skip_lower) _mm256_storeu_pd(lo, cmul_d(_mm256_loadu_pd(lo), c0));
+        _mm256_storeu_pd(hi, cmul_d(_mm256_loadu_pd(hi), c1));
+      },
+      [&](std::complex<double>& lo, std::complex<double>& hi) {
+        if (!skip_lower) lo = cmul_fma(lo, f0);
+        hi = cmul_fma(hi, f1);
+      });
 }
 
-void matrix1_d(std::complex<double>* psi, unsigned nb,
-               const PreparedGate<double>& pg) {
-  const std::complex<double> m00 = pg.coeff[0], m01 = pg.coeff[1];
-  const std::complex<double> m10 = pg.coeff[2], m11 = pg.coeff[3];
+void matrix1_d(std::complex<double>* psi, const PreparedGate<double>& pg,
+               std::uint64_t begin, std::uint64_t end) {
+  const std::complex<double>* m = pg.coeff.data();
   double* p = reinterpret_cast<double*>(psi);
-  const std::uint64_t size = pow2(nb);
-  const unsigned t = pg.target;
-  if (t == 0) {
+  if (pg.target == 0) {
     // v holds [a0, a1]; the swapped vector supplies the cross terms.
-    const CconstD c1 = cpair_d(m00, m11);
-    const CconstD c2 = cpair_d(m01, m10);
-    for (std::uint64_t i = 0; i < size; i += 2) {
-      const __m256d v = _mm256_loadu_pd(p + 2 * i);
+    const CconstD c1 = cpair_d(m[0], m[3]);
+    const CconstD c2 = cpair_d(m[1], m[2]);
+    for (std::uint64_t c = begin; c < end; ++c) {
+      const __m256d v = _mm256_loadu_pd(p + 4 * c);
       const __m256d w = _mm256_permute2f128_pd(v, v, 0x01);
-      _mm256_storeu_pd(p + 2 * i, _mm256_add_pd(cmul_d(v, c1), cmul_d(w, c2)));
+      _mm256_storeu_pd(p + 4 * c,
+                       _mm256_add_pd(cmul_d(v, c1), cmul_d(w, c2)));
     }
     return;
   }
-  const CconstD c00 = cdup_d(m00), c01 = cdup_d(m01);
-  const CconstD c10 = cdup_d(m10), c11 = cdup_d(m11);
-  const std::uint64_t stride = pow2(t);
-  for (std::uint64_t base = 0; base < size; base += 2 * stride) {
-    double* lo = p + 2 * base;
-    double* hi = lo + 2 * stride;
-    for (std::uint64_t j = 0; j < 2 * stride; j += 4) {
-      const __m256d a0 = _mm256_loadu_pd(lo + j);
-      const __m256d a1 = _mm256_loadu_pd(hi + j);
-      _mm256_storeu_pd(lo + j, _mm256_add_pd(cmul_d(a0, c00), cmul_d(a1, c01)));
-      _mm256_storeu_pd(hi + j, _mm256_add_pd(cmul_d(a0, c10), cmul_d(a1, c11)));
-    }
-  }
+  const CconstD c00 = cdup_d(m[0]), c01 = cdup_d(m[1]);
+  const CconstD c10 = cdup_d(m[2]), c11 = cdup_d(m[3]);
+  for_run_vectors(
+      psi, pg.target, begin, end, 2,
+      [&](double* lo, double* hi) {
+        const __m256d a0 = _mm256_loadu_pd(lo);
+        const __m256d a1 = _mm256_loadu_pd(hi);
+        _mm256_storeu_pd(lo, _mm256_add_pd(cmul_d(a0, c00), cmul_d(a1, c01)));
+        _mm256_storeu_pd(hi, _mm256_add_pd(cmul_d(a0, c10), cmul_d(a1, c11)));
+      },
+      [&](std::complex<double>& lo, std::complex<double>& hi) {
+        m1_pair(lo, hi, m);
+      });
 }
 
-void matrix2_d(std::complex<double>* psi, unsigned nb,
-               const PreparedGate<double>& pg) {
+void matrix2_d(std::complex<double>* psi, const PreparedGate<double>& pg,
+               std::uint64_t begin, std::uint64_t end) {
+  const auto scalar = [&](std::uint64_t c) { m2_quad(psi, pg, c); };
   // Unit-stride quad streams require both operand qubits above the
-  // in-vector bit; low-qubit pairs fall back to the scalar reference.
-  if (nb < 3 || pg.sorted[0] < 1) {
-    blk::bk_matrix2<double>(psi, nb, pg);
+  // in-vector bit; a gate on qubit 0 runs the scalar mirror throughout.
+  if (pg.sorted[0] < 1) {
+    for (std::uint64_t c = begin; c < end; ++c) scalar(c);
     return;
   }
   CconstD m[16];
-  for (int k = 0; k < 16; ++k) m[k] = cdup_d(pg.coeff[k]);
+  for (std::size_t k = 0; k < 16; ++k) m[k] = cdup_d(pg.coeff[k]);
   const std::uint64_t b0 = pow2(pg.qubits[0]), b1 = pow2(pg.qubits[1]);
   double* p = reinterpret_cast<double*>(psi);
-  const std::uint64_t total = pow2(nb - 2);
-  for (std::uint64_t c = 0; c < total; c += 2) {
-    const std::uint64_t base = insert_zero_bits(c, pg.sorted);
-    double* q0 = p + 2 * base;
-    double* q1 = p + 2 * (base + b0);
-    double* q2 = p + 2 * (base + b1);
-    double* q3 = p + 2 * (base + b0 + b1);
-    const __m256d a0 = _mm256_loadu_pd(q0);
-    const __m256d a1 = _mm256_loadu_pd(q1);
-    const __m256d a2 = _mm256_loadu_pd(q2);
-    const __m256d a3 = _mm256_loadu_pd(q3);
-    _mm256_storeu_pd(q0,
-                     _mm256_add_pd(_mm256_add_pd(cmul_d(a0, m[0]), cmul_d(a1, m[1])),
-                                   _mm256_add_pd(cmul_d(a2, m[2]), cmul_d(a3, m[3]))));
-    _mm256_storeu_pd(q1,
-                     _mm256_add_pd(_mm256_add_pd(cmul_d(a0, m[4]), cmul_d(a1, m[5])),
-                                   _mm256_add_pd(cmul_d(a2, m[6]), cmul_d(a3, m[7]))));
-    _mm256_storeu_pd(q2,
-                     _mm256_add_pd(_mm256_add_pd(cmul_d(a0, m[8]), cmul_d(a1, m[9])),
-                                   _mm256_add_pd(cmul_d(a2, m[10]), cmul_d(a3, m[11]))));
-    _mm256_storeu_pd(q3,
-                     _mm256_add_pd(_mm256_add_pd(cmul_d(a0, m[12]), cmul_d(a1, m[13])),
-                                   _mm256_add_pd(cmul_d(a2, m[14]), cmul_d(a3, m[15]))));
-  }
+  for_granules(
+      begin, end, 2,
+      [&](std::uint64_t c) {
+        const std::uint64_t base = insert_zero_bits(c, pg.sorted);
+        double* q0 = p + 2 * base;
+        double* q1 = p + 2 * (base + b0);
+        double* q2 = p + 2 * (base + b1);
+        double* q3 = p + 2 * (base + b0 + b1);
+        const __m256d a0 = _mm256_loadu_pd(q0);
+        const __m256d a1 = _mm256_loadu_pd(q1);
+        const __m256d a2 = _mm256_loadu_pd(q2);
+        const __m256d a3 = _mm256_loadu_pd(q3);
+        _mm256_storeu_pd(
+            q0, _mm256_add_pd(_mm256_add_pd(cmul_d(a0, m[0]), cmul_d(a1, m[1])),
+                              _mm256_add_pd(cmul_d(a2, m[2]), cmul_d(a3, m[3]))));
+        _mm256_storeu_pd(
+            q1, _mm256_add_pd(_mm256_add_pd(cmul_d(a0, m[4]), cmul_d(a1, m[5])),
+                              _mm256_add_pd(cmul_d(a2, m[6]), cmul_d(a3, m[7]))));
+        _mm256_storeu_pd(
+            q2,
+            _mm256_add_pd(_mm256_add_pd(cmul_d(a0, m[8]), cmul_d(a1, m[9])),
+                          _mm256_add_pd(cmul_d(a2, m[10]), cmul_d(a3, m[11]))));
+        _mm256_storeu_pd(
+            q3,
+            _mm256_add_pd(_mm256_add_pd(cmul_d(a0, m[12]), cmul_d(a1, m[13])),
+                          _mm256_add_pd(cmul_d(a2, m[14]), cmul_d(a3, m[15]))));
+      },
+      scalar);
 }
 
 // ---- float: 4 complexes per __m256 ---------------------------------------
@@ -210,146 +283,157 @@ inline __m256 cmul_s(__m256 a, const CconstS& b) {
 inline __m256 swap_t0_s(__m256 v) { return _mm256_permute_ps(v, 0x4E); }
 inline __m256 swap_t1_s(__m256 v) { return _mm256_permute2f128_ps(v, v, 0x01); }
 
-void hadamard_s(std::complex<float>* psi, unsigned nb,
-                const PreparedGate<float>& pg) {
+// At t <= 1 one vector holds the two pairs of counters c, c + 1 (c even) at
+// amplitudes 2c .. 2c + 3; for_granules walks them 2 counters at a time.
+
+void hadamard_s(std::complex<float>* psi, const PreparedGate<float>& pg,
+                std::uint64_t begin, std::uint64_t end) {
   const unsigned t = pg.target;
-  if (nb < 2) {  // fewer amplitudes than one vector
-    blk::bk_hadamard<float>(psi, nb, pg);
-    return;
-  }
-  const __m256 vs =
-      _mm256_set1_ps(static_cast<float>(0.70710678118654752440));
+  const float s = static_cast<float>(0.70710678118654752440);
+  const __m256 vs = _mm256_set1_ps(s);
   float* p = reinterpret_cast<float*>(psi);
-  const std::uint64_t size = pow2(nb);
+  const auto scalar_pair = [&](std::complex<float>& lo,
+                               std::complex<float>& hi) { h_pair(lo, hi, s); };
   if (t <= 1) {
     // Output complex lanes holding "hi" partners: t=0 -> lanes 1,3
     // (floats 2,3,6,7 = 0xCC); t=1 -> lanes 2,3 (floats 4..7 = 0xF0).
-    for (std::uint64_t i = 0; i < size; i += 4) {
-      const __m256 v = _mm256_loadu_ps(p + 2 * i);
-      const __m256 w = (t == 0) ? swap_t0_s(v) : swap_t1_s(v);
-      const __m256 plus = _mm256_mul_ps(_mm256_add_ps(v, w), vs);
-      const __m256 minus = _mm256_mul_ps(_mm256_sub_ps(w, v), vs);
-      _mm256_storeu_ps(p + 2 * i, t == 0 ? _mm256_blend_ps(plus, minus, 0xCC)
-                                         : _mm256_blend_ps(plus, minus, 0xF0));
-    }
+    for_granules(
+        begin, end, 2,
+        [&](std::uint64_t c) {
+          const __m256 v = _mm256_loadu_ps(p + 4 * c);
+          const __m256 w = (t == 0) ? swap_t0_s(v) : swap_t1_s(v);
+          const __m256 plus = _mm256_mul_ps(_mm256_add_ps(v, w), vs);
+          const __m256 minus = _mm256_mul_ps(_mm256_sub_ps(w, v), vs);
+          _mm256_storeu_ps(p + 4 * c,
+                           t == 0 ? _mm256_blend_ps(plus, minus, 0xCC)
+                                  : _mm256_blend_ps(plus, minus, 0xF0));
+        },
+        [&](std::uint64_t c) { at_pair(psi, t, c, scalar_pair); });
     return;
   }
-  const std::uint64_t stride = pow2(t);
-  for (std::uint64_t base = 0; base < size; base += 2 * stride) {
-    float* lo = p + 2 * base;
-    float* hi = lo + 2 * stride;
-    for (std::uint64_t j = 0; j < 2 * stride; j += 8) {
-      const __m256 a0 = _mm256_loadu_ps(lo + j);
-      const __m256 a1 = _mm256_loadu_ps(hi + j);
-      _mm256_storeu_ps(lo + j, _mm256_mul_ps(_mm256_add_ps(a0, a1), vs));
-      _mm256_storeu_ps(hi + j, _mm256_mul_ps(_mm256_sub_ps(a0, a1), vs));
-    }
-  }
+  for_run_vectors(
+      psi, t, begin, end, 4,
+      [&](float* lo, float* hi) {
+        const __m256 a0 = _mm256_loadu_ps(lo);
+        const __m256 a1 = _mm256_loadu_ps(hi);
+        _mm256_storeu_ps(lo, _mm256_mul_ps(_mm256_add_ps(a0, a1), vs));
+        _mm256_storeu_ps(hi, _mm256_mul_ps(_mm256_sub_ps(a0, a1), vs));
+      },
+      scalar_pair);
 }
 
-void diag1_s(std::complex<float>* psi, unsigned nb,
-             const PreparedGate<float>& pg) {
+void diag1_s(std::complex<float>* psi, const PreparedGate<float>& pg,
+             std::uint64_t begin, std::uint64_t end) {
   const unsigned t = pg.target;
-  if (nb < 2) {
-    blk::bk_diag1<float>(psi, nb, pg);
-    return;
-  }
   const std::complex<float> f0 = pg.coeff[0], f1 = pg.coeff[1];
   float* p = reinterpret_cast<float*>(psi);
-  const std::uint64_t size = pow2(nb);
   if (t <= 1) {
+    // The in-register path scales both halves, so its mirror does too.
     const CconstS c = (t == 0) ? cquad_s(f0, f1, f0, f1)
                                : cquad_s(f0, f0, f1, f1);
-    for (std::uint64_t i = 0; i < size; i += 4)
-      _mm256_storeu_ps(p + 2 * i, cmul_s(_mm256_loadu_ps(p + 2 * i), c));
+    for_granules(
+        begin, end, 2,
+        [&](std::uint64_t i) {
+          _mm256_storeu_ps(p + 4 * i, cmul_s(_mm256_loadu_ps(p + 4 * i), c));
+        },
+        [&](std::uint64_t i) {
+          at_pair(psi, t, i,
+                  [&](std::complex<float>& lo, std::complex<float>& hi) {
+                    lo = cmul_fma(lo, f0);
+                    hi = cmul_fma(hi, f1);
+                  });
+        });
     return;
   }
   const bool skip_lower = (f0 == std::complex<float>{1.0f, 0.0f});
   const CconstS c0 = cdup_s(f0), c1 = cdup_s(f1);
-  const std::uint64_t stride = pow2(t);
-  for (std::uint64_t base = 0; base < size; base += 2 * stride) {
-    float* lo = p + 2 * base;
-    float* hi = lo + 2 * stride;
-    for (std::uint64_t j = 0; j < 2 * stride; j += 8) {
-      if (!skip_lower)
-        _mm256_storeu_ps(lo + j, cmul_s(_mm256_loadu_ps(lo + j), c0));
-      _mm256_storeu_ps(hi + j, cmul_s(_mm256_loadu_ps(hi + j), c1));
-    }
-  }
+  for_run_vectors(
+      psi, t, begin, end, 4,
+      [&](float* lo, float* hi) {
+        if (!skip_lower) _mm256_storeu_ps(lo, cmul_s(_mm256_loadu_ps(lo), c0));
+        _mm256_storeu_ps(hi, cmul_s(_mm256_loadu_ps(hi), c1));
+      },
+      [&](std::complex<float>& lo, std::complex<float>& hi) {
+        if (!skip_lower) lo = cmul_fma(lo, f0);
+        hi = cmul_fma(hi, f1);
+      });
 }
 
-void matrix1_s(std::complex<float>* psi, unsigned nb,
-               const PreparedGate<float>& pg) {
+void matrix1_s(std::complex<float>* psi, const PreparedGate<float>& pg,
+               std::uint64_t begin, std::uint64_t end) {
   const unsigned t = pg.target;
-  if (nb < 2) {
-    blk::bk_matrix1<float>(psi, nb, pg);
-    return;
-  }
-  const std::complex<float> m00 = pg.coeff[0], m01 = pg.coeff[1];
-  const std::complex<float> m10 = pg.coeff[2], m11 = pg.coeff[3];
+  const std::complex<float>* m = pg.coeff.data();
   float* p = reinterpret_cast<float*>(psi);
-  const std::uint64_t size = pow2(nb);
+  const auto scalar_pair = [&](std::complex<float>& lo,
+                               std::complex<float>& hi) { m1_pair(lo, hi, m); };
   if (t <= 1) {
-    const CconstS c1 = (t == 0) ? cquad_s(m00, m11, m00, m11)
-                                : cquad_s(m00, m00, m11, m11);
-    const CconstS c2 = (t == 0) ? cquad_s(m01, m10, m01, m10)
-                                : cquad_s(m01, m01, m10, m10);
-    for (std::uint64_t i = 0; i < size; i += 4) {
-      const __m256 v = _mm256_loadu_ps(p + 2 * i);
-      const __m256 w = (t == 0) ? swap_t0_s(v) : swap_t1_s(v);
-      _mm256_storeu_ps(p + 2 * i, _mm256_add_ps(cmul_s(v, c1), cmul_s(w, c2)));
-    }
+    const CconstS c1 = (t == 0) ? cquad_s(m[0], m[3], m[0], m[3])
+                                : cquad_s(m[0], m[0], m[3], m[3]);
+    const CconstS c2 = (t == 0) ? cquad_s(m[1], m[2], m[1], m[2])
+                                : cquad_s(m[1], m[1], m[2], m[2]);
+    for_granules(
+        begin, end, 2,
+        [&](std::uint64_t c) {
+          const __m256 v = _mm256_loadu_ps(p + 4 * c);
+          const __m256 w = (t == 0) ? swap_t0_s(v) : swap_t1_s(v);
+          _mm256_storeu_ps(p + 4 * c,
+                           _mm256_add_ps(cmul_s(v, c1), cmul_s(w, c2)));
+        },
+        [&](std::uint64_t c) { at_pair(psi, t, c, scalar_pair); });
     return;
   }
-  const CconstS c00 = cdup_s(m00), c01 = cdup_s(m01);
-  const CconstS c10 = cdup_s(m10), c11 = cdup_s(m11);
-  const std::uint64_t stride = pow2(t);
-  for (std::uint64_t base = 0; base < size; base += 2 * stride) {
-    float* lo = p + 2 * base;
-    float* hi = lo + 2 * stride;
-    for (std::uint64_t j = 0; j < 2 * stride; j += 8) {
-      const __m256 a0 = _mm256_loadu_ps(lo + j);
-      const __m256 a1 = _mm256_loadu_ps(hi + j);
-      _mm256_storeu_ps(lo + j, _mm256_add_ps(cmul_s(a0, c00), cmul_s(a1, c01)));
-      _mm256_storeu_ps(hi + j, _mm256_add_ps(cmul_s(a0, c10), cmul_s(a1, c11)));
-    }
-  }
+  const CconstS c00 = cdup_s(m[0]), c01 = cdup_s(m[1]);
+  const CconstS c10 = cdup_s(m[2]), c11 = cdup_s(m[3]);
+  for_run_vectors(
+      psi, t, begin, end, 4,
+      [&](float* lo, float* hi) {
+        const __m256 a0 = _mm256_loadu_ps(lo);
+        const __m256 a1 = _mm256_loadu_ps(hi);
+        _mm256_storeu_ps(lo, _mm256_add_ps(cmul_s(a0, c00), cmul_s(a1, c01)));
+        _mm256_storeu_ps(hi, _mm256_add_ps(cmul_s(a0, c10), cmul_s(a1, c11)));
+      },
+      scalar_pair);
 }
 
-void matrix2_s(std::complex<float>* psi, unsigned nb,
-               const PreparedGate<float>& pg) {
-  if (nb < 4 || pg.sorted[0] < 2) {
-    blk::bk_matrix2<float>(psi, nb, pg);
+void matrix2_s(std::complex<float>* psi, const PreparedGate<float>& pg,
+               std::uint64_t begin, std::uint64_t end) {
+  const auto scalar = [&](std::uint64_t c) { m2_quad(psi, pg, c); };
+  if (pg.sorted[0] < 2) {
+    for (std::uint64_t c = begin; c < end; ++c) scalar(c);
     return;
   }
   CconstS m[16];
-  for (int k = 0; k < 16; ++k) m[k] = cdup_s(pg.coeff[k]);
+  for (std::size_t k = 0; k < 16; ++k) m[k] = cdup_s(pg.coeff[k]);
   const std::uint64_t b0 = pow2(pg.qubits[0]), b1 = pow2(pg.qubits[1]);
   float* p = reinterpret_cast<float*>(psi);
-  const std::uint64_t total = pow2(nb - 2);
-  for (std::uint64_t c = 0; c < total; c += 4) {
-    const std::uint64_t base = insert_zero_bits(c, pg.sorted);
-    float* q0 = p + 2 * base;
-    float* q1 = p + 2 * (base + b0);
-    float* q2 = p + 2 * (base + b1);
-    float* q3 = p + 2 * (base + b0 + b1);
-    const __m256 a0 = _mm256_loadu_ps(q0);
-    const __m256 a1 = _mm256_loadu_ps(q1);
-    const __m256 a2 = _mm256_loadu_ps(q2);
-    const __m256 a3 = _mm256_loadu_ps(q3);
-    _mm256_storeu_ps(q0,
-                     _mm256_add_ps(_mm256_add_ps(cmul_s(a0, m[0]), cmul_s(a1, m[1])),
-                                   _mm256_add_ps(cmul_s(a2, m[2]), cmul_s(a3, m[3]))));
-    _mm256_storeu_ps(q1,
-                     _mm256_add_ps(_mm256_add_ps(cmul_s(a0, m[4]), cmul_s(a1, m[5])),
-                                   _mm256_add_ps(cmul_s(a2, m[6]), cmul_s(a3, m[7]))));
-    _mm256_storeu_ps(q2,
-                     _mm256_add_ps(_mm256_add_ps(cmul_s(a0, m[8]), cmul_s(a1, m[9])),
-                                   _mm256_add_ps(cmul_s(a2, m[10]), cmul_s(a3, m[11]))));
-    _mm256_storeu_ps(q3,
-                     _mm256_add_ps(_mm256_add_ps(cmul_s(a0, m[12]), cmul_s(a1, m[13])),
-                                   _mm256_add_ps(cmul_s(a2, m[14]), cmul_s(a3, m[15]))));
-  }
+  for_granules(
+      begin, end, 4,
+      [&](std::uint64_t c) {
+        const std::uint64_t base = insert_zero_bits(c, pg.sorted);
+        float* q0 = p + 2 * base;
+        float* q1 = p + 2 * (base + b0);
+        float* q2 = p + 2 * (base + b1);
+        float* q3 = p + 2 * (base + b0 + b1);
+        const __m256 a0 = _mm256_loadu_ps(q0);
+        const __m256 a1 = _mm256_loadu_ps(q1);
+        const __m256 a2 = _mm256_loadu_ps(q2);
+        const __m256 a3 = _mm256_loadu_ps(q3);
+        _mm256_storeu_ps(
+            q0, _mm256_add_ps(_mm256_add_ps(cmul_s(a0, m[0]), cmul_s(a1, m[1])),
+                              _mm256_add_ps(cmul_s(a2, m[2]), cmul_s(a3, m[3]))));
+        _mm256_storeu_ps(
+            q1, _mm256_add_ps(_mm256_add_ps(cmul_s(a0, m[4]), cmul_s(a1, m[5])),
+                              _mm256_add_ps(cmul_s(a2, m[6]), cmul_s(a3, m[7]))));
+        _mm256_storeu_ps(
+            q2,
+            _mm256_add_ps(_mm256_add_ps(cmul_s(a0, m[8]), cmul_s(a1, m[9])),
+                          _mm256_add_ps(cmul_s(a2, m[10]), cmul_s(a3, m[11]))));
+        _mm256_storeu_ps(
+            q3,
+            _mm256_add_ps(_mm256_add_ps(cmul_s(a0, m[12]), cmul_s(a1, m[13])),
+                          _mm256_add_ps(cmul_s(a2, m[14]), cmul_s(a3, m[15]))));
+      },
+      scalar);
 }
 
 }  // namespace

@@ -20,7 +20,7 @@ namespace svsim::sv::simd::detail {
 
 namespace {
 
-namespace blk = ::svsim::sv::detail::blk;
+namespace kern = ::svsim::sv::detail::kern;
 
 constexpr std::size_t idx(KernelClass c) { return static_cast<std::size_t>(c); }
 
@@ -86,82 +86,95 @@ inline void vstore(T* p, V v) {
   __builtin_memcpy(p, &v, sizeof(V));
 }
 
+/// Vector lanes in complexes: runs are walked in whole vectors of this
+/// many pairs. Only used when 2^t fills whole vectors; then the whole
+/// range, a block range and every kRangeGranule-aligned range split into
+/// runs that are multiples of the vector, so for_run_vectors' scalar tail
+/// stays empty.
 template <typename T>
-void g_hadamard(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
-  using V = typename VecOf<T>::V;
-  constexpr std::uint64_t kScalars = sizeof(V) / sizeof(T);
-  const unsigned t = pg.target;
-  const std::uint64_t stride = pow2(t);
-  if (2 * stride < kScalars) {
-    blk::bk_hadamard<T>(psi, nb, pg);
-    return;
-  }
-  const V vs = splat<V>(static_cast<T>(0.70710678118654752440));
-  T* p = reinterpret_cast<T*>(psi);
-  const std::uint64_t size = pow2(nb);
-  for (std::uint64_t base = 0; base < size; base += 2 * stride) {
-    T* lo = p + 2 * base;
-    T* hi = lo + 2 * stride;
-    for (std::uint64_t j = 0; j < 2 * stride; j += kScalars) {
-      const V a0 = vload<V>(lo + j);
-      const V a1 = vload<V>(hi + j);
-      vstore(lo + j, (a0 + a1) * vs);
-      vstore(hi + j, (a0 - a1) * vs);
-    }
-  }
+constexpr std::uint64_t kLanes = sizeof(typename VecOf<T>::V) / sizeof(T) / 2;
+
+/// True when target t's runs fill whole vectors; lower targets take the
+/// scalar reference entry.
+template <typename T>
+bool fills_vectors(unsigned t) {
+  return pow2(t) >= kLanes<T>;
 }
 
 template <typename T>
-void g_diag1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
+void g_hadamard(std::complex<T>* psi, const PreparedGate<T>& pg,
+                std::uint64_t begin, std::uint64_t end) {
   using V = typename VecOf<T>::V;
-  constexpr std::uint64_t kScalars = sizeof(V) / sizeof(T);
-  const unsigned t = pg.target;
-  const std::uint64_t stride = pow2(t);
-  if (2 * stride < kScalars) {
-    blk::bk_diag1<T>(psi, nb, pg);
+  if (!fills_vectors<T>(pg.target)) {
+    kern::k_hadamard<T>(psi, pg, begin, end);
+    return;
+  }
+  const T s = static_cast<T>(0.70710678118654752440);
+  const V vs = splat<V>(s);
+  for_run_vectors(
+      psi, pg.target, begin, end, kLanes<T>,
+      [&](T* lo, T* hi) {
+        const V a0 = vload<V>(lo);
+        const V a1 = vload<V>(hi);
+        vstore(lo, (a0 + a1) * vs);
+        vstore(hi, (a0 - a1) * vs);
+      },
+      [&](std::complex<T>& lo, std::complex<T>& hi) {
+        const std::complex<T> a0 = lo, a1 = hi;
+        lo = (a0 + a1) * s;
+        hi = (a0 - a1) * s;
+      });
+}
+
+template <typename T>
+void g_diag1(std::complex<T>* psi, const PreparedGate<T>& pg,
+             std::uint64_t begin, std::uint64_t end) {
+  using V = typename VecOf<T>::V;
+  if (!fills_vectors<T>(pg.target)) {
+    kern::k_diag1<T>(psi, pg, begin, end);
     return;
   }
   const bool skip_lower = (pg.coeff[0] == std::complex<T>{T{1}, T{0}});
   const Cconst<V, T> c0 = csplit<V>(pg.coeff[0]);
   const Cconst<V, T> c1 = csplit<V>(pg.coeff[1]);
-  T* p = reinterpret_cast<T*>(psi);
-  const std::uint64_t size = pow2(nb);
-  for (std::uint64_t base = 0; base < size; base += 2 * stride) {
-    T* lo = p + 2 * base;
-    T* hi = lo + 2 * stride;
-    for (std::uint64_t j = 0; j < 2 * stride; j += kScalars) {
-      if (!skip_lower) vstore(lo + j, cmul(vload<V>(lo + j), c0));
-      vstore(hi + j, cmul(vload<V>(hi + j), c1));
-    }
-  }
+  for_run_vectors(
+      psi, pg.target, begin, end, kLanes<T>,
+      [&](T* lo, T* hi) {
+        if (!skip_lower) vstore(lo, cmul(vload<V>(lo), c0));
+        vstore(hi, cmul(vload<V>(hi), c1));
+      },
+      [&](std::complex<T>& lo, std::complex<T>& hi) {
+        if (!skip_lower) lo *= pg.coeff[0];
+        hi *= pg.coeff[1];
+      });
 }
 
 template <typename T>
-void g_matrix1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg) {
+void g_matrix1(std::complex<T>* psi, const PreparedGate<T>& pg,
+               std::uint64_t begin, std::uint64_t end) {
   using V = typename VecOf<T>::V;
-  constexpr std::uint64_t kScalars = sizeof(V) / sizeof(T);
-  const unsigned t = pg.target;
-  const std::uint64_t stride = pow2(t);
-  if (2 * stride < kScalars) {
-    blk::bk_matrix1<T>(psi, nb, pg);
+  if (!fills_vectors<T>(pg.target)) {
+    kern::k_matrix1<T>(psi, pg, begin, end);
     return;
   }
   const Cconst<V, T> c00 = csplit<V>(pg.coeff[0]);
   const Cconst<V, T> c01 = csplit<V>(pg.coeff[1]);
   const Cconst<V, T> c10 = csplit<V>(pg.coeff[2]);
   const Cconst<V, T> c11 = csplit<V>(pg.coeff[3]);
-  T* p = reinterpret_cast<T*>(psi);
-  const std::uint64_t size = pow2(nb);
-  for (std::uint64_t base = 0; base < size; base += 2 * stride) {
-    T* lo = p + 2 * base;
-    T* hi = lo + 2 * stride;
-    for (std::uint64_t j = 0; j < 2 * stride; j += kScalars) {
-      const V a0 = vload<V>(lo + j);
-      const V a1 = vload<V>(hi + j);
-      vstore(lo + j, cmul(a0, c00) + cmul(a1, c01));
-      vstore(hi + j, cmul(a0, c10) + cmul(a1, c11));
-    }
-  }
+  const std::complex<T>* m = pg.coeff.data();
+  for_run_vectors(
+      psi, pg.target, begin, end, kLanes<T>,
+      [&](T* lo, T* hi) {
+        const V a0 = vload<V>(lo);
+        const V a1 = vload<V>(hi);
+        vstore(lo, cmul(a0, c00) + cmul(a1, c01));
+        vstore(hi, cmul(a0, c10) + cmul(a1, c11));
+      },
+      [&](std::complex<T>& lo, std::complex<T>& hi) {
+        const std::complex<T> a0 = lo, a1 = hi;
+        lo = m[0] * a0 + m[1] * a1;
+        hi = m[2] * a0 + m[3] * a1;
+      });
 }
 
 }  // namespace

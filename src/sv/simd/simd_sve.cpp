@@ -1,4 +1,5 @@
-// Vector-length-agnostic SVE block kernels (ACLE), compiled only when
+// Vector-length-agnostic SVE kernels (ACLE) over a counter range
+// (sv/kernels.hpp), compiled only when
 // the toolchain targets SVE (__ARM_FEATURE_SVE, e.g. -march=armv8.2-a+sve
 // or an A64FX toolchain).
 //
@@ -42,17 +43,18 @@ inline svfloat32_t cmla_s(svbool_t m, svfloat32_t acc, svfloat32_t a,
 }
 
 template <typename T>
-void sve_hadamard(std::complex<T>* psi, unsigned nb,
-                  const PreparedGate<T>& pg);
+void sve_hadamard(std::complex<T>* psi, const PreparedGate<T>& pg,
+                  std::uint64_t begin, std::uint64_t end);
 
 template <>
-void sve_hadamard<double>(std::complex<double>* psi, unsigned nb,
-                          const PreparedGate<double>& pg) {
+void sve_hadamard<double>(std::complex<double>* psi,
+                          const PreparedGate<double>& pg,
+                          std::uint64_t begin, std::uint64_t end) {
   const svfloat64_t vs = svdup_f64(0.70710678118654752440);
   double* p = reinterpret_cast<double*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     double* lo = p + 2 * base;
     double* hi = lo + 2 * stride;
     const std::int64_t len = static_cast<std::int64_t>(2 * run);
@@ -68,14 +70,15 @@ void sve_hadamard<double>(std::complex<double>* psi, unsigned nb,
 }
 
 template <>
-void sve_hadamard<float>(std::complex<float>* psi, unsigned nb,
-                         const PreparedGate<float>& pg) {
+void sve_hadamard<float>(std::complex<float>* psi,
+                         const PreparedGate<float>& pg,
+                         std::uint64_t begin, std::uint64_t end) {
   const svfloat32_t vs =
       svdup_f32(static_cast<float>(0.70710678118654752440));
   float* p = reinterpret_cast<float*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     float* lo = p + 2 * base;
     float* hi = lo + 2 * stride;
     const std::int32_t len = static_cast<std::int32_t>(2 * run);
@@ -91,18 +94,20 @@ void sve_hadamard<float>(std::complex<float>* psi, unsigned nb,
 }
 
 template <typename T>
-void sve_diag1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg);
+void sve_diag1(std::complex<T>* psi, const PreparedGate<T>& pg,
+               std::uint64_t begin, std::uint64_t end);
 
 template <>
-void sve_diag1<double>(std::complex<double>* psi, unsigned nb,
-                       const PreparedGate<double>& pg) {
+void sve_diag1<double>(std::complex<double>* psi,
+                       const PreparedGate<double>& pg,
+                       std::uint64_t begin, std::uint64_t end) {
   const svfloat64_t f0 = svdupq_n_f64(pg.coeff[0].real(), pg.coeff[0].imag());
   const svfloat64_t f1 = svdupq_n_f64(pg.coeff[1].real(), pg.coeff[1].imag());
   const bool skip_lower = (pg.coeff[0] == std::complex<double>{1.0, 0.0});
   double* p = reinterpret_cast<double*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     double* lo = p + 2 * base;
     double* hi = lo + 2 * stride;
     const std::int64_t len = static_cast<std::int64_t>(2 * run);
@@ -118,8 +123,9 @@ void sve_diag1<double>(std::complex<double>* psi, unsigned nb,
 }
 
 template <>
-void sve_diag1<float>(std::complex<float>* psi, unsigned nb,
-                      const PreparedGate<float>& pg) {
+void sve_diag1<float>(std::complex<float>* psi,
+                      const PreparedGate<float>& pg,
+                      std::uint64_t begin, std::uint64_t end) {
   const svfloat32_t f0 = svdupq_n_f32(pg.coeff[0].real(), pg.coeff[0].imag(),
                                       pg.coeff[0].real(), pg.coeff[0].imag());
   const svfloat32_t f1 = svdupq_n_f32(pg.coeff[1].real(), pg.coeff[1].imag(),
@@ -128,7 +134,7 @@ void sve_diag1<float>(std::complex<float>* psi, unsigned nb,
   float* p = reinterpret_cast<float*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     float* lo = p + 2 * base;
     float* hi = lo + 2 * stride;
     const std::int32_t len = static_cast<std::int32_t>(2 * run);
@@ -144,11 +150,13 @@ void sve_diag1<float>(std::complex<float>* psi, unsigned nb,
 }
 
 template <typename T>
-void sve_matrix1(std::complex<T>* psi, unsigned nb, const PreparedGate<T>& pg);
+void sve_matrix1(std::complex<T>* psi, const PreparedGate<T>& pg,
+                 std::uint64_t begin, std::uint64_t end);
 
 template <>
-void sve_matrix1<double>(std::complex<double>* psi, unsigned nb,
-                         const PreparedGate<double>& pg) {
+void sve_matrix1<double>(std::complex<double>* psi,
+                         const PreparedGate<double>& pg,
+                         std::uint64_t begin, std::uint64_t end) {
   const svfloat64_t m00 = svdupq_n_f64(pg.coeff[0].real(), pg.coeff[0].imag());
   const svfloat64_t m01 = svdupq_n_f64(pg.coeff[1].real(), pg.coeff[1].imag());
   const svfloat64_t m10 = svdupq_n_f64(pg.coeff[2].real(), pg.coeff[2].imag());
@@ -156,7 +164,7 @@ void sve_matrix1<double>(std::complex<double>* psi, unsigned nb,
   double* p = reinterpret_cast<double*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     double* lo = p + 2 * base;
     double* hi = lo + 2 * stride;
     const std::int64_t len = static_cast<std::int64_t>(2 * run);
@@ -173,8 +181,9 @@ void sve_matrix1<double>(std::complex<double>* psi, unsigned nb,
 }
 
 template <>
-void sve_matrix1<float>(std::complex<float>* psi, unsigned nb,
-                        const PreparedGate<float>& pg) {
+void sve_matrix1<float>(std::complex<float>* psi,
+                        const PreparedGate<float>& pg,
+                        std::uint64_t begin, std::uint64_t end) {
   const svfloat32_t m00 = svdupq_n_f32(pg.coeff[0].real(), pg.coeff[0].imag(),
                                        pg.coeff[0].real(), pg.coeff[0].imag());
   const svfloat32_t m01 = svdupq_n_f32(pg.coeff[1].real(), pg.coeff[1].imag(),
@@ -186,7 +195,7 @@ void sve_matrix1<float>(std::complex<float>* psi, unsigned nb,
   float* p = reinterpret_cast<float*>(psi);
   const unsigned t = pg.target;
   const std::uint64_t stride = pow2(t);
-  for_pair_runs(0, pow2(nb - 1), t, [&](std::uint64_t base, std::uint64_t run) {
+  for_pair_runs(begin, end, t, [&](std::uint64_t base, std::uint64_t run) {
     float* lo = p + 2 * base;
     float* hi = lo + 2 * stride;
     const std::int32_t len = static_cast<std::int32_t>(2 * run);

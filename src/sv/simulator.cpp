@@ -14,106 +14,18 @@ namespace svsim::sv {
 
 using qc::Gate;
 using qc::GateKind;
-using qc::cplx;
 
 template <typename T>
 void apply_gate(StateVector<T>& state, const Gate& g) {
-  std::complex<T>* psi = state.data();
   const unsigned n = state.num_qubits();
-  ThreadPool& pool = state.pool();
   for (unsigned q : g.qubits)
     require(q < n, "apply_gate: qubit out of range");
-
-  switch (g.kind) {
-    case GateKind::I:
-    case GateKind::BARRIER:
-      return;
-    case GateKind::X:
-      apply_x(psi, n, g.qubits[0], pool);
-      return;
-    case GateKind::Y:
-      apply_y(psi, n, g.qubits[0], pool);
-      return;
-    case GateKind::H:
-      apply_h(psi, n, g.qubits[0], pool);
-      return;
-    case GateKind::Z:
-    case GateKind::S:
-    case GateKind::Sdg:
-    case GateKind::T:
-    case GateKind::Tdg:
-    case GateKind::P:
-    case GateKind::RZ: {
-      const qc::Matrix u = g.matrix();
-      apply_diag1(psi, n, g.qubits[0], u(0, 0), u(1, 1), pool);
-      return;
-    }
-    case GateKind::SX:
-    case GateKind::SXdg:
-    case GateKind::RX:
-    case GateKind::RY:
-    case GateKind::U:
-      apply_matrix1(psi, n, g.qubits[0], g.matrix(), pool);
-      return;
-    case GateKind::CX:
-    case GateKind::CCX:
-    case GateKind::MCX:
-      apply_mcx(psi, n, g.controls(), g.targets()[0], pool);
-      return;
-    case GateKind::CZ:
-    case GateKind::CP:
-    case GateKind::CRZ:
-    case GateKind::CCZ:
-    case GateKind::MCP: {
-      const qc::Matrix u = g.target_matrix();
-      apply_controlled_diag1(psi, n, g.controls(), g.targets()[0], u(0, 0),
-                             u(1, 1), pool);
-      return;
-    }
-    case GateKind::CY:
-    case GateKind::CH:
-    case GateKind::CRX:
-    case GateKind::CRY:
-      apply_controlled_matrix1(psi, n, g.controls(), g.targets()[0],
-                               g.target_matrix(), pool);
-      return;
-    case GateKind::SWAP:
-      apply_swap(psi, n, g.qubits[0], g.qubits[1], pool);
-      return;
-    case GateKind::RZZ: {
-      const qc::Matrix u = g.matrix();
-      apply_diag2(psi, n, g.qubits[0], g.qubits[1],
-                  {u(0, 0), u(1, 1), u(2, 2), u(3, 3)}, pool);
-      return;
-    }
-    case GateKind::ISWAP:
-    case GateKind::RXX:
-    case GateKind::RYY:
-    case GateKind::U2Q:
-      apply_matrix2(psi, n, g.qubits[0], g.qubits[1], g.matrix(), pool);
-      return;
-    case GateKind::CSWAP:
-      apply_matrix_k(psi, n, g.qubits, g.matrix(), pool);
-      return;
-    case GateKind::DIAG:
-      apply_diag_k(psi, n, g.qubits, g.diagonal_entries(), pool);
-      return;
-    case GateKind::UNITARY:
-      if (g.num_qubits() == 1) {
-        apply_matrix1(psi, n, g.qubits[0], g.matrix_payload(), pool);
-      } else if (g.num_qubits() == 2) {
-        apply_matrix2(psi, n, g.qubits[0], g.qubits[1], g.matrix_payload(),
-                      pool);
-      } else {
-        apply_matrix_k(psi, n, g.qubits, g.matrix_payload(), pool);
-      }
-      return;
-    case GateKind::MEASURE:
-    case GateKind::RESET:
-      throw Error(
-          "apply_gate: MEASURE/RESET need a Simulator (they are stochastic)");
-  }
-  throw Error("apply_gate: unhandled gate kind");
+  const KernelClass cls = classify_gate(g);
+  if (cls == KernelClass::Nop) return;
+  if (cls == KernelClass::Unsupported)
+    throw Error(
+        "apply_gate: MEASURE/RESET need a Simulator (they are stochastic)");
+  apply_prepared(state.data(), n, prepare_gate<T>(g), state.pool());
 }
 
 template <typename T>

@@ -30,8 +30,10 @@ namespace svsim::sv {
 
 struct ExecutionPlan;
 
-/// Applies one unitary gate to the state (kernel dispatch; no noise, no
-/// measurement). BARRIER and I are no-ops. Throws for MEASURE/RESET.
+/// Applies one unitary gate to the state (no noise, no measurement):
+/// classify, prepare, and one kernel-table call over the whole counter
+/// range, split across the state's pool (sv::apply_prepared). BARRIER and I
+/// are no-ops. Throws for MEASURE/RESET.
 template <typename T>
 void apply_gate(StateVector<T>& state, const qc::Gate& gate);
 

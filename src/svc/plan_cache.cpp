@@ -1,5 +1,6 @@
 #include "svc/plan_cache.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 
@@ -131,27 +132,71 @@ std::uint64_t fingerprint_plan_options(const sv::PlanOptions& options,
   return h.value();
 }
 
+namespace {
+
+/// Heap bytes glibc malloc spends on an n-byte request: an 8-byte chunk
+/// header, 16-byte granules and a 32-byte minimum chunk; nothing for an
+/// empty request.
+constexpr std::uint64_t heap_chunk(std::uint64_t n) {
+  return n == 0 ? 0
+                : std::max<std::uint64_t>(32, (n + 8 + 15) & ~std::uint64_t{15});
+}
+
+/// A make_shared block: the control block (vtable pointer and two counts)
+/// and the object in one chunk.
+constexpr std::uint64_t shared_chunk(std::uint64_t object_bytes) {
+  return heap_chunk(16 + object_bytes);
+}
+
+template <typename V>
+std::uint64_t vector_chunk(const V& v) {
+  return heap_chunk(v.capacity() * sizeof(typename V::value_type));
+}
+
+/// Strings up to the 15-character small-string buffer stay inline.
+std::uint64_t string_chunk(const std::string& s) {
+  return s.capacity() > 15 ? heap_chunk(s.capacity() + 1) : 0;
+}
+
+std::uint64_t gate_payload_bytes(const qc::Gate& g) {
+  if (g.kind == qc::GateKind::DIAG)
+    return shared_chunk(sizeof(std::vector<qc::cplx>)) +
+           vector_chunk(g.diagonal_entries());
+  if (g.kind == qc::GateKind::UNITARY || g.kind == qc::GateKind::U2Q) {
+    const std::uint64_t dim = g.matrix_payload().dim();
+    return shared_chunk(sizeof(qc::Matrix)) +
+           heap_chunk(dim * dim * sizeof(qc::cplx));
+  }
+  return 0;
+}
+
+}  // namespace
+
 std::uint64_t plan_footprint_bytes(const sv::ExecutionPlan& plan) {
-  std::uint64_t total = sizeof(sv::ExecutionPlan);
-  total += plan.final_slot_of.size() * sizeof(unsigned);
+  std::uint64_t total = shared_chunk(sizeof(sv::ExecutionPlan));
+  total += vector_chunk(plan.final_slot_of) + vector_chunk(plan.phases);
   for (const auto& phase : plan.phases) {
-    total += sizeof(sv::PlanPhase);
-    total += phase.note.size();
-    total += phase.hops.size() * sizeof(sv::ExchangeHop);
-    for (const auto& g : phase.gates) {
-      total += sizeof(qc::Gate);
-      total += g.qubits.size() * sizeof(unsigned);
-      total += g.params.size() * sizeof(double);
-      if (g.kind == qc::GateKind::DIAG) {
-        total += g.diagonal_entries().size() * sizeof(qc::cplx);
-      } else if (g.kind == qc::GateKind::UNITARY ||
-                 g.kind == qc::GateKind::U2Q) {
-        const std::uint64_t dim = g.matrix_payload().dim();
-        total += dim * dim * sizeof(qc::cplx);
-      }
-    }
+    total += string_chunk(phase.note) + vector_chunk(phase.hops) +
+             vector_chunk(phase.gates);
+    for (const auto& g : phase.gates)
+      total += vector_chunk(g.qubits) + vector_chunk(g.params) +
+               gate_payload_bytes(g);
   }
   return total;
+}
+
+std::uint64_t cache_entry_overhead_bytes(const CachedPlan& entry) {
+  // The LRU list node holds (key, entry pointer) behind two links; the
+  // index node holds (key, list iterator) behind one link, plus about one
+  // bucket pointer per entry at the default load factor.
+  using LruValue = std::pair<PlanKey, std::shared_ptr<const CachedPlan>>;
+  const std::uint64_t lru_node = heap_chunk(2 * sizeof(void*) + sizeof(LruValue));
+  const std::uint64_t index_node =
+      heap_chunk(sizeof(void*) + sizeof(PlanKey) + sizeof(void*));
+  return shared_chunk(sizeof(CachedPlan)) + vector_chunk(entry.measures) +
+         vector_chunk(entry.cost.phases) +
+         string_chunk(entry.cost.machine_name) + lru_node + index_node +
+         sizeof(void*);
 }
 
 PlanCache::PlanCache(std::uint64_t budget_bytes, obs::MetricsRegistry* metrics)

@@ -7,13 +7,13 @@
 // price). Entries are keyed by three FNV-1a fingerprints — circuit
 // structure, MachineSpec description, and the effective compile options
 // (including the *resolved* cache budget, so SVSIM_CACHE_BUDGET=probed
-// changing block sizing changes the key) — and evicted LRU by estimated
-// plan memory footprint against a byte budget.
+// changing block sizing changes the key) — and evicted LRU by the heap
+// bytes each entry holds (counted in malloc chunks) against a byte budget.
 //
 // Hit/miss/eviction counts and resident bytes publish to the obs registry
 // as svc.plan_cache.{hits,misses,evictions} counters and the
 // svc.plan_cache.bytes gauge; per-instance totals back each session's
-// summary record (docs/SERVICE.md#plan-cache).
+// summary record (docs/SERVICE.md#cache-keying-and-eviction).
 #pragma once
 
 #include <cstdint>
@@ -77,9 +77,11 @@ std::uint64_t fingerprint_plan_options(const sv::PlanOptions& options,
                                        const std::string& scheduler,
                                        unsigned amp_bytes);
 
-/// Estimated resident bytes of a compiled plan: phases, gates, operand and
-/// parameter vectors, matrix/diagonal payloads, hops, and the slot map.
-/// This is the footprint the LRU budget meters.
+/// Heap bytes a compiled plan holds, counted in malloc chunks (8-byte
+/// header, 16-byte granule, 32-byte minimum) over vector capacities: the
+/// plan object in its make_shared block, phases, gates, operand and
+/// parameter vectors, the shared matrix/diagonal payload blocks, hops, notes
+/// and the slot map.
 std::uint64_t plan_footprint_bytes(const sv::ExecutionPlan& plan);
 
 /// One cached compilation: everything needed to execute a job without
@@ -95,6 +97,12 @@ struct CachedPlan {
   std::vector<std::pair<unsigned, unsigned>> measures;  ///< (qubit, cbit)
   unsigned num_clbits = 0;
 };
+
+/// Heap bytes a cache entry holds around its plan, in the same chunk
+/// terms: the CachedPlan block, the measure map, the admission cost's
+/// per-phase table, and the LRU list and index nodes. Service sets CachedPlan::footprint_bytes to plan_footprint_bytes
+/// plus this, so the byte budget meters what the cache really keeps.
+std::uint64_t cache_entry_overhead_bytes(const CachedPlan& entry);
 
 /// Thread-safe LRU plan cache with a byte budget. An entry larger than the
 /// whole budget is rejected (never inserted) rather than evicting the

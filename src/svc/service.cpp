@@ -335,7 +335,8 @@ JobResult Service::execute(const JobRequest& request,
     cfg.threads = options_.threads;
     cfg.element_bytes = element_bytes;
     entry->cost = perf::cost_plan(*entry->plan, options_.machine, cfg, ctx);
-    entry->footprint_bytes = plan_footprint_bytes(*entry->plan);
+    entry->footprint_bytes =
+        plan_footprint_bytes(*entry->plan) + cache_entry_overhead_bytes(*entry);
     result.compile_seconds = seconds_since(compile_start);
     cache_.put(key, entry);
     cached = std::move(entry);
@@ -538,7 +539,8 @@ ServeStats serve_session(std::istream& in, std::ostream& out,
                          Service& service) {
   const unsigned workers = std::max(1u, service.options().workers);
 
-  JobQueue<QueueItem> queue;
+  const std::size_t queue_depth = kServeQueueDepthPerWorker * workers;
+  JobQueue<QueueItem> queue(queue_depth);
   std::thread reader([&in, &queue] {
     std::string line;
     std::uint64_t seq = 0;
@@ -598,7 +600,7 @@ ServeStats serve_session(std::istream& in, std::ostream& out,
   // Result lines flow through an output queue drained by one writer thread,
   // so concurrent workers never interleave bytes on `out`. Lines appear in
   // completion order; clients correlate by "id".
-  JobQueue<std::string> output;
+  JobQueue<std::string> output(queue_depth);
   std::thread writer([&out, &output] {
     std::string line;
     while (output.pop(line)) out << line << "\n" << std::flush;

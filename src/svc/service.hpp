@@ -179,12 +179,20 @@ struct ServeStats {
   std::vector<std::uint64_t> worker_jobs;  ///< jobs executed per worker
 };
 
+/// Items each serve-session queue (parsed jobs in, result lines out) holds
+/// per executor thread before its producer blocks: twice the two lines per
+/// worker a closed-loop client keeps outstanding.
+inline constexpr std::size_t kServeQueueDepthPerWorker = 4;
+
 /// Line-delimited serve loop: one JSON job per line on `in`, one JSON
 /// result line per job on `out`, then one summary line. Blank lines are
 /// skipped; jobs without an "id" get "job-<seq>". A reader thread parses
 /// ahead through a JobQueue while executor threads run jobs, so parsing
 /// overlaps simulation; a socket transport would bind here without touching
-/// Service.
+/// Service. Both the job queue and the result queue hold at most
+/// kServeQueueDepthPerWorker x workers items: the reader stops reading
+/// while the workers are that far behind, and the workers stop while the
+/// client is not reading results.
 ///
 /// With options().workers == 1 result lines come out in submission order.
 /// With workers > 1, N executor threads pull from the queue — each under a

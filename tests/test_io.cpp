@@ -121,9 +121,10 @@ TEST(KernelVariant, PairwiseMatchesRunBlocked) {
       apply_gate(a, qc::Gate::t(q));
       apply_gate(b, qc::Gate::t(q));
     }
-    apply_matrix1(a.data(), n, t, u, a.pool());
+    apply_gate(a, qc::Gate::unitary({t}, u));
     apply_matrix1_pairwise(b.data(), n, t, u, b.pool());
-    // The two variants may contract FMAs differently; allow FP slack.
+    // The run-blocked table entry may fuse multiplies (FMA) where the
+    // pairwise reference does not; allow FP slack.
     const auto va = a.to_vector();
     const auto vb = b.to_vector();
     double dist = 0.0;

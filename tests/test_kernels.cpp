@@ -199,8 +199,8 @@ TEST(KernelInvariants, HTwiceIsIdentity) {
     StateVector<double> sv(n);
     std::vector<qc::cplx> ref;
     random_state(n, sv, ref, 3000 + t);
-    apply_h(sv.data(), n, t, sv.pool());
-    apply_h(sv.data(), n, t, sv.pool());
+    apply_gate(sv, Gate::h(t));
+    apply_gate(sv, Gate::h(t));
     const auto got = sv.to_vector();
     for (std::uint64_t i = 0; i < ref.size(); ++i)
       EXPECT_NEAR(std::abs(got[i] - ref[i]), 0.0, 1e-12);
@@ -244,29 +244,33 @@ TEST(KernelInvariants, FloatKernelsTrackDoubleKernels) {
 }
 
 TEST(KernelInvariants, MultithreadedMatchesSingleThreaded) {
-  const unsigned n = 10;
-  ThreadPool pool1(1), pool4(4);
-  StateVector<double> a(n, &pool1), b(n, &pool4);
-  std::vector<qc::cplx> init;
-  {
-    StateVector<double> tmp(n, &pool1);
-    random_state(n, tmp, init, 555);
+  // n = 16 (1 MiB at f64) forks on the 4-thread pool: apply_prepared then
+  // splits each counter range across workers.
+  for (const unsigned n : {10u, 16u}) {
+    ThreadPool pool1(1), pool4(4);
+    StateVector<double> a(n, &pool1), b(n, &pool4);
+    std::vector<qc::cplx> init;
+    {
+      StateVector<double> tmp(n, &pool1);
+      random_state(n, tmp, init, 555);
+    }
+    a.set_state(init);
+    b.set_state(init);
+    for (unsigned t = 0; t < n; ++t) {
+      apply_gate(a, Gate::h(t));
+      apply_gate(b, Gate::h(t));
+      apply_gate(a, Gate::cx(t, (t + 1) % n));
+      apply_gate(b, Gate::cx(t, (t + 1) % n));
+    }
+    if (n == 16) EXPECT_GT(pool4.stats().parallel_regions, 0u);
+    const auto va = a.to_vector();
+    const auto vb = b.to_vector();
+    for (std::uint64_t i = 0; i < va.size(); ++i)
+      EXPECT_EQ(va[i], vb[i]) << "thread count must not change results at all";
   }
-  a.set_state(init);
-  b.set_state(init);
-  for (unsigned t = 0; t < n; ++t) {
-    apply_h(a.data(), n, t, pool1);
-    apply_h(b.data(), n, t, pool4);
-    apply_gate(a, Gate::cx(t, (t + 1) % n));
-    apply_gate(b, Gate::cx(t, (t + 1) % n));
-  }
-  const auto va = a.to_vector();
-  const auto vb = b.to_vector();
-  for (std::uint64_t i = 0; i < va.size(); ++i)
-    EXPECT_EQ(va[i], vb[i]) << "thread count must not change results at all";
 }
 
-// ---- block-local kernel dispatch (sv/kernels.hpp, blocked engine) --------
+// ---- kernel-table dispatch (sv/kernels.hpp) -------------------------------
 
 TEST(BlockKernels, ClassifyGateCoversEveryKind) {
   const struct {
@@ -317,7 +321,7 @@ TEST(BlockKernels, ClassifyGateCoversEveryKind) {
 }
 
 TEST(BlockKernels, DispatchTableIsFullyPopulated) {
-  const auto& table = block_kernel_table<double>();
+  const auto& table = kernel_table<double>();
   ASSERT_EQ(table.size(), kNumKernelClasses);
   for (std::size_t i = 0; i < kNumKernelClasses; ++i) {
     EXPECT_NE(table[i], nullptr) << "class index " << i;
@@ -330,8 +334,8 @@ TEST(BlockKernels, PrepareGateRejectsNonUnitary) {
 }
 
 TEST(BlockKernels, BlockApplicationMatchesWholeStateKernels) {
-  // With block_qubits == n the register is one block, so every specialized
-  // block kernel must reproduce the whole-state dispatcher bit-for-bit.
+  // With block_qubits == n the register is one block: one table call over
+  // the whole counter range must reproduce the dense reference.
   const unsigned n = 5;
   const Gate gates[] = {
       Gate::x(2),        Gate::y(1),
@@ -349,27 +353,26 @@ TEST(BlockKernels, BlockApplicationMatchesWholeStateKernels) {
       Gate::unitary({0, 2, 4}, Gate::ccx(0, 1, 2).matrix()),
   };
   for (const Gate& g : gates) {
-    StateVector<double> via_block(n), via_dispatch(n);
-    std::vector<qc::cplx> init;
-    random_state(n, via_block, init, 0xb10c + g.qubits.size());
-    via_dispatch.set_state(init);
+    StateVector<double> via_block(n);
+    std::vector<qc::cplx> want;
+    random_state(n, via_block, want, 0xb10c + g.qubits.size());
 
     const PreparedGate<double> pg = prepare_gate<double>(g);
-    apply_gate_in_block(via_block.data(), n, pg);
-    apply_gate(via_dispatch, g);
+    apply_range(via_block.data(), pg, 0, pow2(n - pg.counter_bits));
+    qc::dense::apply_gate(want, g, n);
 
     const auto got = via_block.to_vector();
-    const auto want = via_dispatch.to_vector();
     double dist = 0.0;
     for (std::uint64_t i = 0; i < want.size(); ++i)
       dist = std::max(dist, std::abs(got[i] - want[i]));
-    EXPECT_LT(dist, 1e-12) << g.to_string();
+    EXPECT_LT(dist, 1e-13) << g.to_string();
   }
 }
 
 TEST(BlockKernels, SubBlockApplicationActsIndependentlyPerBlock) {
-  // Applying a prepared gate to each aligned 2^b block must equal the
-  // whole-state gate when all operands are below b.
+  // Applying a prepared gate to each aligned 2^b block — the counter range
+  // [blk * 2^(b-k), (blk + 1) * 2^(b-k)) — must equal the whole-state gate
+  // when all operands are below b.
   const unsigned n = 6, b = 3;
   const Gate g = Gate::cx(0, 2);
   StateVector<double> blocked(n), whole(n);
@@ -378,13 +381,35 @@ TEST(BlockKernels, SubBlockApplicationActsIndependentlyPerBlock) {
   whole.set_state(init);
 
   const PreparedGate<double> pg = prepare_gate<double>(g);
+  const unsigned shift = b - pg.counter_bits;
   for (std::uint64_t blk = 0; blk < pow2(n - b); ++blk)
-    apply_gate_in_block(blocked.data() + (blk << b), b, pg);
+    apply_range(blocked.data(), pg, blk << shift, (blk + 1) << shift);
   apply_gate(whole, g);
 
   const auto got = blocked.to_vector();
   const auto want = whole.to_vector();
   for (std::uint64_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]);
+}
+
+TEST(BlockKernels, CounterSpaceOfEachClass) {
+  const struct {
+    Gate g;
+    unsigned counter_bits;
+    unsigned counter_amps;
+  } cases[] = {
+      {Gate::h(3), 1, 2},           {Gate::x(0), 1, 2},
+      {Gate::rz(2, 0.3), 1, 2},     {Gate::cx(0, 4), 2, 2},
+      {Gate::ccx(1, 2, 3), 3, 2},   {Gate::crz(0, 1, 0.2), 2, 2},
+      {Gate::ccz(0, 1, 2), 3, 1},   {Gate::swap(1, 5), 2, 2},
+      {Gate::rxx(0, 1, 0.3), 2, 4}, {Gate::rzz(0, 1, 0.4), 0, 1},
+      {Gate::diag({0, 2}, {1.0, 1.0, 1.0, -1.0}), 0, 1},
+      {Gate::cswap(0, 1, 2), 3, 8},
+  };
+  for (const auto& c : cases) {
+    const PreparedGate<double> pg = prepare_gate<double>(c.g);
+    EXPECT_EQ(pg.counter_bits, c.counter_bits) << c.g.to_string();
+    EXPECT_EQ(pg.counter_amps, c.counter_amps) << c.g.to_string();
+  }
 }
 
 }  // namespace

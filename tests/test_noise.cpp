@@ -34,7 +34,7 @@ TEST(NoiseModel, ZeroProbabilityIsIdentity) {
   NoiseModel nm;
   nm.add_depolarizing(0.0).add_bit_flip(0.0).add_phase_flip(0.0);
   StateVector<double> sv(3);
-  apply_h(sv.data(), 3, 0, sv.pool());
+  apply_gate(sv, qc::Gate::h(0));
   const auto before = sv.to_vector();
   Xoshiro256 rng(1);
   for (int i = 0; i < 20; ++i) nm.apply_after(sv, Gate::h(0), rng);
@@ -57,7 +57,7 @@ TEST(NoiseModel, PhaseFlipLeavesPopulationsFlipsCoherence) {
   NoiseModel nm;
   nm.add_phase_flip(1.0);
   StateVector<double> sv(1);
-  apply_h(sv.data(), 1, 0, sv.pool());
+  apply_gate(sv, qc::Gate::h(0));
   Xoshiro256 rng(3);
   nm.apply_after(sv, Gate::i(0), rng);
   // |+> -> |->: populations unchanged, amplitude of |1> negated.
@@ -129,7 +129,7 @@ TEST(NoiseModel, AmplitudeDampingPreservesNorm) {
   nm.add_amplitude_damping(0.2);
   Xoshiro256 rng(13);
   StateVector<double> sv(3);
-  apply_h(sv.data(), 3, 0, sv.pool());
+  apply_gate(sv, qc::Gate::h(0));
   apply_gate(sv, Gate::cx(0, 1));
   for (int i = 0; i < 10; ++i) nm.apply_after(sv, Gate::h(2), rng);
   EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-10);
@@ -141,7 +141,7 @@ TEST(NoiseModel, TrajectoriesPreserveNormUnderAllChannels) {
       .add_amplitude_damping(0.1);
   Xoshiro256 rng(17);
   StateVector<double> sv(4);
-  for (unsigned q = 0; q < 4; ++q) apply_h(sv.data(), 4, q, sv.pool());
+  for (unsigned q = 0; q < 4; ++q) apply_gate(sv, qc::Gate::h(q));
   for (int i = 0; i < 30; ++i)
     nm.apply_after(sv, Gate::cx(i % 4, (i + 1) % 4), rng);
   EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-9);

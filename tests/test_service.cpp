@@ -1,16 +1,23 @@
 // Service-layer tests: JSON protocol parsing, plan-cache keying/eviction,
 // batched-shot execution equivalence, admission control, and the serve
 // session loop (docs/SERVICE.md).
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "common/error.hpp"
 #include "machine/machine_spec.hpp"
@@ -169,6 +176,59 @@ TEST(PlanCache, FootprintEstimateCoversPayloads) {
   EXPECT_GT(svc::plan_footprint_bytes(sv::compile_plan(qc::qft(10), {})), fp);
 }
 
+// mallinfo2 (glibc 2.33+) reads the real allocator; a sanitizer runtime
+// replaces it.
+#if defined(__GLIBC__) &&                                        \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33)) && \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+#define SVSIM_TEST_MALLINFO2 1
+#endif
+
+TEST(PlanCache, MeteredBytesTrackHeapGrowth) {
+#if !defined(SVSIM_TEST_MALLINFO2)
+  GTEST_SKIP() << "needs glibc mallinfo2 and the glibc allocator";
+#else
+  // Distinct plans through the service fill the cache the way a serve
+  // session does; the bytes it meters must be within 15 % of what the heap
+  // grew by. Two decks: sampled-like QV (n 10..14, some fused) and
+  // trajectory-like noisy QV (n 6..10).
+  const auto heap_bytes = [] {
+    const struct mallinfo2 m = mallinfo2();
+    return static_cast<double>(m.uordblks + m.hblkhd);
+  };
+  ThreadPool pool(1);
+  for (const bool noisy : {false, true}) {
+    svc::ServiceOptions o;
+    o.cache_bytes = 1ull << 30;
+    o.pool = &pool;
+    svc::Service service(o);
+    auto job = [noisy](std::uint64_t i) {
+      svc::JobRequest r;
+      const unsigned n = static_cast<unsigned>(noisy ? 6 + i % 5 : 10 + i % 5);
+      r.circuit = qc::random_quantum_volume(n, 3 + i % 3, 1000 + i);
+      r.fusion = i % 2 == 0;
+      r.shots = noisy ? 2 : 16;
+      if (noisy) r.noise.add_depolarizing(0.01);
+      return r;
+    };
+    // Warm the metric series, kernel tables and allocator caches.
+    for (std::uint64_t i = 0; i < 8; ++i)
+      ASSERT_TRUE(service.run_job(job(100000 + i)).ok);
+    const double heap_before = heap_bytes();
+    const double metered_before = static_cast<double>(service.cache().bytes());
+    for (std::uint64_t i = 0; i < 300; ++i)
+      ASSERT_TRUE(service.run_job(job(i)).ok);
+    const double grown = heap_bytes() - heap_before;
+    const double metered =
+        static_cast<double>(service.cache().bytes()) - metered_before;
+    ASSERT_EQ(service.cache().evictions(), 0u);
+    EXPECT_NEAR(metered / grown, 1.0, 0.15)
+        << (noisy ? "trajectory" : "sampled") << " deck: metered " << metered
+        << " B, heap grew " << grown << " B";
+  }
+#endif
+}
+
 // ---- JobQueue -----------------------------------------------------------
 
 TEST(JobQueue, DrainsAfterClose) {
@@ -185,34 +245,143 @@ TEST(JobQueue, DrainsAfterClose) {
   EXPECT_FALSE(q.pop(v));
 }
 
+TEST(JobQueue, PushBlocksAtCapacityUntilPop) {
+  svc::JobQueue<int> q(2);
+  q.push(1);
+  q.push(2);
+  std::atomic<bool> pushed{false};
+  std::thread producer([&] {
+    q.push(3);
+    pushed = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(pushed.load()) << "push must block while the queue is full";
+  EXPECT_EQ(q.size(), 2u);
+  int v = 0;
+  ASSERT_TRUE(q.pop(v));
+  EXPECT_EQ(v, 1);
+  producer.join();
+  EXPECT_TRUE(pushed.load());
+  EXPECT_EQ(q.size(), 2u);
+}
+
+TEST(JobQueue, CloseReleasesBlockedPushAndStillDrains) {
+  svc::JobQueue<int> q(1);
+  q.push(1);
+  std::thread producer([&] { q.push(2); });  // full: blocks until close
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  q.close();
+  producer.join();  // released; its item is dropped
+  int v = 0;
+  ASSERT_TRUE(q.pop(v));
+  EXPECT_EQ(v, 1);
+  EXPECT_FALSE(q.pop(v));
+}
+
+namespace {
+
+/// Serves `count` copies of one job line, one line per underflow, and
+/// counts the lines handed out.
+class CountingLineSource : public std::streambuf {
+ public:
+  CountingLineSource(std::string line, std::size_t count)
+      : line_(std::move(line) + "\n"), count_(count) {}
+  std::atomic<std::size_t> served{0};
+
+ protected:
+  int_type underflow() override {
+    if (served.load() == count_) return traits_type::eof();
+    ++served;
+    setg(line_.data(), line_.data(), line_.data() + line_.size());
+    return traits_type::to_int_type(line_[0]);
+  }
+
+ private:
+  std::string line_;
+  std::size_t count_;
+};
+
+/// Counts result lines and records how far the source ran ahead of them.
+class ReadAheadSink : public std::streambuf {
+ public:
+  explicit ReadAheadSink(const CountingLineSource& source) : source_(source) {}
+  std::size_t lines = 0;
+  std::size_t max_ahead = 0;
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (ch == '\n') {
+      ++lines;
+      const std::size_t served = source_.served.load();
+      if (served > lines) max_ahead = std::max(max_ahead, served - lines);
+    }
+    return ch;
+  }
+
+ private:
+  const CountingLineSource& source_;
+};
+
+}  // namespace
+
+TEST(ServeSession, ReadAheadIsBoundedByTheQueues) {
+  // 5 000 job lines that parse faster than they run: the reader may only be
+  // as far ahead of the written results as the two queues, the job in the
+  // worker, the line at the writer and the item the reader holds.
+  CountingLineSource source(R"({"qft":9,"shots":64})", 5000);
+  ReadAheadSink sink(source);
+  std::istream in(&source);
+  std::ostream out(&sink);
+  ThreadPool pool(1);
+  svc::ServiceOptions o;
+  o.pool = &pool;
+  svc::Service service(o);
+  const svc::ServeStats stats = svc::serve_session(in, out, service);
+  EXPECT_EQ(stats.jobs, 5000u);
+  EXPECT_EQ(sink.lines, 5001u);  // results + summary
+  const std::size_t depth = svc::kServeQueueDepthPerWorker;
+  EXPECT_LE(sink.max_ahead, 2 * depth + 3);
+}
+
 // ---- Engine batch execution --------------------------------------------
 
 TEST(RunPlanBatch, MatchesSequentialRunPlan) {
-  const qc::Circuit circuit = qc::random_quantum_volume(6, 3, 11);
-  sv::PlanOptions po;
-  po.blocking = true;
-  const auto plan = sv::compile_plan(circuit, po);
+  // Inputs: a small state on the global pool, and a forking size — 2^16
+  // amplitudes on a 4-thread pool, where every DenseGate range splits
+  // across workers.
+  ThreadPool pool4(4);
+  const struct {
+    unsigned n;
+    ThreadPool* pool;
+  } inputs[] = {{6, &ThreadPool::global()}, {16, &pool4}};
+  for (const auto& input : inputs) {
+    const unsigned n = input.n;
+    const qc::Circuit circuit = qc::random_quantum_volume(n, 3, 11);
+    sv::PlanOptions po;
+    po.blocking = true;
+    const auto plan = sv::compile_plan(circuit, po);
 
-  std::vector<sv::StateVector<double>> batch_states;
-  std::vector<sv::StateVector<double>*> ptrs;
-  batch_states.reserve(3);
-  for (int i = 0; i < 3; ++i) {
-    batch_states.emplace_back(6);
-    ptrs.push_back(&batch_states.back());
+    std::vector<sv::StateVector<double>> batch_states;
+    std::vector<sv::StateVector<double>*> ptrs;
+    batch_states.reserve(3);
+    for (int i = 0; i < 3; ++i) {
+      batch_states.emplace_back(n, input.pool);
+      ptrs.push_back(&batch_states.back());
+    }
+    const auto batch_stats = sv::run_plan_batch(ptrs, plan);
+
+    sv::StateVector<double> reference(n, input.pool);
+    const auto single_stats = sv::run_plan(reference, plan);
+
+    for (const auto* s : ptrs)
+      for (std::uint64_t i = 0; i < s->size(); ++i)
+        EXPECT_EQ(s->data()[i], reference.data()[i]) << "amplitude " << i;
+
+    // Aggregated stats are the single-run stats times the batch size.
+    EXPECT_EQ(batch_stats.traversals, 3 * single_stats.traversals);
+    EXPECT_EQ(batch_stats.blocked_gates, 3 * single_stats.blocked_gates);
+    EXPECT_EQ(batch_stats.bytes_streamed, 3 * single_stats.bytes_streamed);
   }
-  const auto batch_stats = sv::run_plan_batch(ptrs, plan);
-
-  sv::StateVector<double> reference(6);
-  const auto single_stats = sv::run_plan(reference, plan);
-
-  for (const auto* s : ptrs)
-    for (std::uint64_t i = 0; i < s->size(); ++i)
-      EXPECT_EQ(s->data()[i], reference.data()[i]) << "amplitude " << i;
-
-  // Aggregated stats are the single-run stats times the batch size.
-  EXPECT_EQ(batch_stats.traversals, 3 * single_stats.traversals);
-  EXPECT_EQ(batch_stats.blocked_gates, 3 * single_stats.blocked_gates);
-  EXPECT_EQ(batch_stats.bytes_streamed, 3 * single_stats.bytes_streamed);
 }
 
 // ---- Service ------------------------------------------------------------
@@ -280,7 +449,7 @@ TEST(Service, DifferentOptionsMissTheCache) {
 
 TEST(Service, EvictionUnderSmallByteBudget) {
   svc::ServiceOptions opts;
-  opts.cache_bytes = 4096;  // roughly one small plan
+  opts.cache_bytes = 10240;  // roughly one small plan, in heap chunks
   svc::Service service(opts);
   ASSERT_TRUE(service.run_job(qft_job("a", 4, 8, 1)).ok);
   ASSERT_TRUE(service.run_job(qft_job("b", 5, 8, 1)).ok);

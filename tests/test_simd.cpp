@@ -1,8 +1,11 @@
 // SIMD backend equivalence: every compiled-and-available backend must
-// reproduce the portable scalar reference table (sv::block_kernel_table)
-// on random states, for every KernelClass, at both precisions, within the
+// reproduce the portable scalar reference table (sv::kernel_table) on
+// random states, for every KernelClass, at both precisions, within the
 // documented ULP bounds (sv/simd/simd.hpp): 1e-13 absolute on normalized
 // f64 states, 1e-5 on f32; bit-exact for permutation and Hadamard entries.
+// The range entry point is checked per backend as well: whole-state
+// applications against the dense reference, and bit-identity of the result
+// across pool sizes and between a blocked sweep and the whole range.
 // Backends the binary lacks (e.g. NEON on x86) or the CPU cannot run are
 // skipped, not failed, so the suite is green on every host.
 #include "sv/simd/simd.hpp"
@@ -17,9 +20,12 @@
 
 #include "common/bits.hpp"
 #include "common/rng.hpp"
+#include "qc/dense.hpp"
 #include "qc/gate.hpp"
 #include "qc/matrix.hpp"
+#include "sv/engine.hpp"
 #include "sv/kernels.hpp"
+#include "sv/simulator.hpp"
 
 namespace svsim::sv {
 namespace {
@@ -103,12 +109,13 @@ std::vector<Gate> representative_gates(unsigned n, Xoshiro256& rng) {
 template <typename T>
 double divergence(const Gate& g, unsigned n, std::uint64_t seed) {
   const PreparedGate<T> pg = prepare_gate<T>(g);
-  const auto& active = active_block_kernel_table<T>();
-  const auto& scalar = block_kernel_table<T>();
+  const auto& active = active_kernel_table<T>();
+  const auto& scalar = kernel_table<T>();
   std::vector<std::complex<T>> a = random_block<T>(n, seed);
   std::vector<std::complex<T>> b = a;
-  active[idx(pg.cls)](a.data(), n, pg);
-  scalar[idx(pg.cls)](b.data(), n, pg);
+  const std::uint64_t counters = pow2(n - pg.counter_bits);
+  active[idx(pg.cls)](a.data(), pg, 0, counters);
+  scalar[idx(pg.cls)](b.data(), pg, 0, counters);
   double dist = 0.0;
   for (std::uint64_t i = 0; i < a.size(); ++i)
     dist = std::max(dist, static_cast<double>(std::abs(a[i] - b[i])));
@@ -133,6 +140,121 @@ void check_backend_vs_scalar(double tol) {
           << "u t=" << t << " n=" << n;
     }
   }
+}
+
+// ---- the range entry point -------------------------------------------------
+
+constexpr unsigned kRangeWidths[] = {3, 8, 14, 16};
+
+/// representative_gates plus every class again on the top qubits: the top
+/// qubit as target and as control, and operand sets above n - 3, where a
+/// block is the whole state and the vector paths run with the fewest
+/// counters.
+std::vector<Gate> range_gates(unsigned n, Xoshiro256& rng) {
+  std::vector<Gate> gates = representative_gates(n, rng);
+  const unsigned a = n - 1, b = n - 2, c = n - 3;
+  const std::vector<Gate> top = {
+      Gate::i(a),
+      Gate::x(a),
+      Gate::y(a),
+      Gate::swap(b, a),
+      Gate::cx(a, b),
+      Gate::ccx(c, b, a),
+      Gate::h(a),
+      Gate::t(a),
+      Gate::rz(a, 0.9),
+      Gate::crz(a, c, 0.7),
+      Gate::cp(c, a, 0.4),
+      Gate::rzz(a, c, 0.5),
+      Gate::diag({a, b, c}, {std::polar(1.0, 0.1), std::polar(1.0, 0.7),
+                             std::polar(1.0, 1.3), std::polar(1.0, 1.9),
+                             std::polar(1.0, 2.5), std::polar(1.0, 3.1),
+                             std::polar(1.0, 3.7), std::polar(1.0, 4.3)}),
+      Gate::u(a, 0.2, 0.5, 0.8),
+      Gate::cry(b, a, 0.3),
+      Gate::u2q(a, c, Matrix::random_unitary(4, rng)),
+      Gate::u2q(b, a, Matrix::random_unitary(4, rng)),
+      Gate::cswap(a, c, b),
+      Gate::unitary({b, a, c}, Matrix::random_unitary(8, rng)),
+  };
+  gates.insert(gates.end(), top.begin(), top.end());
+  return gates;
+}
+
+/// A normalized random state of width n on `pool`.
+template <typename T>
+StateVector<T> random_state(unsigned n, ThreadPool& pool, std::uint64_t seed) {
+  StateVector<T> s(n, &pool);
+  const std::vector<std::complex<T>> amps = random_block<T>(n, seed);
+  std::vector<std::complex<double>> wide(amps.begin(), amps.end());
+  s.set_state(wide);
+  return s;
+}
+
+/// Amplitudes where `a` and `b` differ in any bit pattern that compares
+/// unequal.
+template <typename T>
+std::uint64_t mismatches(const StateVector<T>& a, const StateVector<T>& b) {
+  std::uint64_t bad = 0;
+  for (std::uint64_t i = 0; i < a.size(); ++i)
+    bad += a.data()[i] != b.data()[i] ? 1 : 0;
+  return bad;
+}
+
+template <typename T>
+void check_range_vs_dense(double tol) {
+  ThreadPool pool(1);
+  for (unsigned n : kRangeWidths) {
+    Xoshiro256 rng(0x7a49 + n);
+    std::uint64_t seed = 0x9000 + n;
+    for (const Gate& g : range_gates(n, rng)) {
+      StateVector<T> state = random_state<T>(n, pool, ++seed);
+      std::vector<qc::cplx> want = state.to_vector();
+      apply_gate(state, g);
+      qc::dense::apply_gate(want, g, n);
+      const std::vector<qc::cplx> got = state.to_vector();
+      double dist = 0.0;
+      for (std::uint64_t i = 0; i < want.size(); ++i)
+        dist = std::max(dist, std::abs(got[i] - want[i]));
+      EXPECT_LE(dist, tol) << g.to_string() << " on n=" << n;
+    }
+  }
+}
+
+template <typename T>
+void check_range_split_invariance() {
+  ThreadPool pool1(1), pool2(2), pool3(3), pool4(4);
+  ThreadPool* const pools[] = {&pool2, &pool3, &pool4};
+  for (unsigned n : kRangeWidths) {
+    Xoshiro256 rng(0x5b1d + n);
+    std::uint64_t seed = 0xa000 + n;
+    for (const Gate& g : range_gates(n, rng)) {
+      ++seed;
+      StateVector<T> want = random_state<T>(n, pool1, seed);
+      apply_gate(want, g);
+      for (ThreadPool* pool : pools) {
+        StateVector<T> got = random_state<T>(n, *pool, seed);
+        apply_gate(got, g);
+        EXPECT_EQ(mismatches(got, want), 0u)
+            << g.to_string() << " n=" << n << " threads="
+            << pool->num_threads();
+      }
+      // Blocked sweeps at the smallest legal block and at a mid-size one:
+      // each block is a counter range of the same entry.
+      const unsigned smallest = std::max(1u, g.max_qubit() + 1);
+      for (unsigned b : {smallest, std::max(smallest, n - 2)}) {
+        StateVector<T> got = random_state<T>(n, pool4, seed);
+        run_sweep(got, &g, 1, b);
+        EXPECT_EQ(mismatches(got, want), 0u)
+            << g.to_string() << " n=" << n << " block_qubits=" << b;
+      }
+    }
+  }
+  // The widest input really splits its ranges across the 4-thread pool.
+  pool4.reset_stats();
+  StateVector<T> wide = random_state<T>(16, pool4, 1);
+  apply_gate(wide, Gate::h(15));
+  EXPECT_GT(pool4.stats().parallel_regions, 0u);
 }
 
 /// Selects the parameterized backend for the test body (skipping when it
@@ -162,12 +284,28 @@ TEST_P(BackendEquivalence, MatchesScalarReferenceF32) {
   check_backend_vs_scalar<float>(1e-5);
 }
 
+TEST_P(BackendEquivalence, RangeEntryMatchesDenseReferenceF64) {
+  check_range_vs_dense<double>(1e-13);
+}
+
+TEST_P(BackendEquivalence, RangeEntryMatchesDenseReferenceF32) {
+  check_range_vs_dense<float>(1e-5);
+}
+
+TEST_P(BackendEquivalence, RangeSplitIsBitIdenticalF64) {
+  check_range_split_invariance<double>();
+}
+
+TEST_P(BackendEquivalence, RangeSplitIsBitIdenticalF32) {
+  check_range_split_invariance<float>();
+}
+
 TEST_P(BackendEquivalence, NonOverriddenEntriesAreTheScalarReference) {
   // Classes a backend does not hand-vectorize must dispatch to the exact
   // scalar function pointers — Unsupported among them, so the blocked
   // engine's error path is backend-independent.
-  const auto& active_d = active_block_kernel_table<double>();
-  const auto& scalar_d = block_kernel_table<double>();
+  const auto& active_d = active_kernel_table<double>();
+  const auto& scalar_d = kernel_table<double>();
   EXPECT_EQ(active_d[idx(KernelClass::Unsupported)],
             scalar_d[idx(KernelClass::Unsupported)]);
   const std::size_t overridden = simd::active_backend().overridden_classes;

@@ -115,7 +115,7 @@ TEST(StateVector, MeasureStatisticsOnPlusState) {
   const int trials = 2000;
   for (int i = 0; i < trials; ++i) {
     StateVector<double> sv(1);
-    apply_h(sv.data(), 1, 0, sv.pool());
+    apply_gate(sv, qc::Gate::h(0));
     ones += sv.measure(0, rng);
   }
   EXPECT_NEAR(static_cast<double>(ones) / trials, 0.5, 0.05);
@@ -147,8 +147,8 @@ TEST(StateVector, SampleRespectsDistribution) {
 
 TEST(StateVector, SampleDeterministicInSeed) {
   StateVector<double> sv(3);
-  apply_h(sv.data(), 3, 0, sv.pool());
-  apply_h(sv.data(), 3, 1, sv.pool());
+  apply_gate(sv, qc::Gate::h(0));
+  apply_gate(sv, qc::Gate::h(1));
   Xoshiro256 r1(5), r2(5);
   EXPECT_EQ(sv.sample(100, r1), sv.sample(100, r2));
 }
@@ -159,7 +159,7 @@ TEST(StateVector, ExpectationSingleQubitPaulis) {
   EXPECT_NEAR(sv.expectation(qc::PauliString::from_label("Z")), 1.0, 1e-12);
   EXPECT_NEAR(sv.expectation(qc::PauliString::from_label("X")), 0.0, 1e-12);
   // |+>: <X> = 1, <Z> = 0.
-  apply_h(sv.data(), 1, 0, sv.pool());
+  apply_gate(sv, qc::Gate::h(0));
   EXPECT_NEAR(sv.expectation(qc::PauliString::from_label("X")), 1.0, 1e-12);
   EXPECT_NEAR(sv.expectation(qc::PauliString::from_label("Z")), 0.0, 1e-12);
 }
@@ -210,7 +210,7 @@ TEST(StateVector, ExpectationOfOperatorSumsTerms) {
 TEST(StateVector, MarginalProbabilities) {
   // (|00> + |11>)/√2 on qubits {0,1} of a 3-qubit register.
   StateVector<double> sv(3);
-  apply_h(sv.data(), 3, 0, sv.pool());
+  apply_gate(sv, qc::Gate::h(0));
   sv::apply_gate(sv, qc::Gate::cx(0, 1));
   const auto m01 = sv.marginal_probabilities({0, 1});
   ASSERT_EQ(m01.size(), 4u);
@@ -228,8 +228,8 @@ TEST(StateVector, MarginalProbabilities) {
 
 TEST(StateVector, MarginalSumsToOneAndValidates) {
   StateVector<double> sv(4);
-  apply_h(sv.data(), 4, 2, sv.pool());
-  apply_h(sv.data(), 4, 3, sv.pool());
+  apply_gate(sv, qc::Gate::h(2));
+  apply_gate(sv, qc::Gate::h(3));
   const auto m = sv.marginal_probabilities({3, 1});
   double total = 0.0;
   for (double p : m) total += p;
@@ -293,7 +293,7 @@ TEST(StateVector, MeasurementPathIdenticalOnAnyPoolSize) {
 TEST(StateVectorFloat, SinglePrecisionBasics) {
   StateVector<float> sv(3);
   EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-6);
-  apply_h(sv.data(), 3, 1, sv.pool());
+  apply_gate(sv, qc::Gate::h(1));
   EXPECT_NEAR(sv.norm_squared(), 1.0, 1e-6);
   EXPECT_NEAR(sv.probability_of_one(1), 0.5, 1e-6);
 }
@@ -304,8 +304,8 @@ TEST(StateVectorFloat, PrecisionLowerThanDouble) {
   StateVector<double> svd(4);
   for (int rep = 0; rep < 50; ++rep) {
     for (unsigned q = 0; q < 4; ++q) {
-      apply_h(svf.data(), 4, q, svf.pool());
-      apply_h(svd.data(), 4, q, svd.pool());
+      apply_gate(svf, qc::Gate::h(q));
+      apply_gate(svd, qc::Gate::h(q));
     }
   }
   EXPECT_NEAR(svf.norm_squared(), 1.0, 1e-4);

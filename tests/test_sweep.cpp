@@ -128,8 +128,9 @@ TEST(RunSweep, MatchesPerGateKernels) {
 
   const auto got = blocked.to_vector();
   const auto want = naive.to_vector();
-  // Same kernel math, but instruction selection (FMA contraction) may
-  // differ between the block and whole-state loops: allow a few ulps.
+  // One table entry serves both, so the states are bit-identical
+  // (RunPlan.BlockedAndUnblockedRunsAreBitIdentical pins that); the bound
+  // here only checks the sweep applies the right gates.
   for (std::size_t i = 0; i < want.size(); ++i)
     EXPECT_NEAR(std::abs(got[i] - want[i]), 0.0, 1e-13);
 }
@@ -161,6 +162,25 @@ TEST(RunPlan, RandomCircuitsStraddlingTheBoundary) {
     const auto want = qc::dense::run(c);
     for (std::size_t i = 0; i < want.size(); ++i)
       EXPECT_NEAR(std::abs(got[i] - want[i]), 0.0, 1e-10);
+  }
+}
+
+TEST(RunPlan, BlockedAndUnblockedRunsAreBitIdentical) {
+  // Blocks and whole-state DenseGate calls are counter ranges of the same
+  // kernel-table entries, and sweep grouping keeps the gate order, so the
+  // blocked plan reproduces the unblocked one bit for bit.
+  for (std::uint64_t seed : {21ull, 22ull}) {
+    const Circuit c = qc::random_quantum_volume(10, 4, seed);
+    PlanOptions blocked_po;
+    blocked_po.blocking = true;
+    blocked_po.block_qubits = 5;
+    StateVector<double> blocked(10), unblocked(10);
+    run_plan(blocked, compile_plan(c, blocked_po));
+    run_plan(unblocked, compile_plan(c, PlanOptions{}));
+    std::uint64_t mismatched = 0;
+    for (std::uint64_t i = 0; i < blocked.size(); ++i)
+      mismatched += blocked.data()[i] != unblocked.data()[i] ? 1 : 0;
+    EXPECT_EQ(mismatched, 0u) << "seed " << seed;
   }
 }
 
