@@ -54,9 +54,11 @@ int main(int argc, char** argv) {
     sv::Simulator<double> sim;
     const auto counts = sim.sample_counts(circuit, shots);
     std::cout << "\ncounts (" << shots << " shots):\n";
+    const unsigned width =
+        sv::split_shots(circuit, sim.options().noise).label_width;
     for (const auto& [bits, count] : counts) {
       std::string label;
-      for (unsigned b = circuit.num_clbits(); b-- > 0;)
+      for (unsigned b = width; b-- > 0;)
         label += ((bits >> b) & 1) ? '1' : '0';
       std::printf("  %s : %zu\n", label.c_str(), count);
     }

@@ -120,7 +120,7 @@ EngineStats run_plan(StateVector<T>& state, const ExecutionPlan& plan,
                      const ExecutionContext& ctx = ExecutionContext::global());
 
 /// Executes one plan over a batch of same-width states — the shot-batching
-/// hook the simulation service amortizes noise trajectories with. The plan
+/// hook Simulator::run_shots amortizes trajectories with. The plan
 /// is walked ONCE for the whole batch: each LocalSweep's gates are prepared
 /// (coefficients pre-cast, kernels resolved) a single time and applied to
 /// every state, and each phase records a single tracer span labeled with

@@ -121,6 +121,18 @@ void ExecutionPlan::finalize() {
     final_slot_of.resize(num_qubits);
     for (unsigned q = 0; q < num_qubits; ++q) final_slot_of[q] = q;
   }
+  // A compiled plan is read-only from here on (and may sit in the plan
+  // cache for long): drop the growth slack the compilers left behind.
+  phases.shrink_to_fit();
+  final_slot_of.shrink_to_fit();
+  for (auto& phase : phases) {
+    phase.gates.shrink_to_fit();
+    phase.hops.shrink_to_fit();
+    for (auto& g : phase.gates) {
+      g.qubits.shrink_to_fit();
+      g.params.shrink_to_fit();
+    }
+  }
 }
 
 void ExecutionPlan::validate() const {

@@ -133,8 +133,9 @@ struct ExecutionPlan {
   /// "q<num_qubits>r<ranks>b<block_qubits>p<phases>g<total_gates>".
   std::string summary_id() const;
 
-  /// Recomputes the aggregate fields from the phases and defaults
-  /// final_slot_of to identity when unset.
+  /// Recomputes the aggregate fields from the phases, defaults
+  /// final_slot_of to identity when unset, and trims every phase, gate,
+  /// hop and operand vector to capacity() == size().
   void finalize();
 
   /// Checks the IR invariants every executor relies on; throws Error:

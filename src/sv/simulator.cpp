@@ -53,22 +53,36 @@ StateVector<T> Simulator<T>::run(const qc::Circuit& circuit) {
   return state;
 }
 
+namespace {
+
+/// Blocked sweeps apply many gates per state traversal, but noise channels
+/// sample after every gate, so noisy execution compiles without blocking.
+PlanOptions under_noise(PlanOptions po, const NoiseModel& noise) {
+  po.blocking = po.blocking && noise.channels().empty();
+  return po;
+}
+
+}  // namespace
+
+template <typename T>
+PlanOptions Simulator<T>::plan_options() const {
+  PlanOptions po;
+  po.fusion = options_.fusion;
+  po.fusion_width = options_.fusion_width;
+  po.blocking = options_.blocking;
+  po.block_qubits = options_.block_qubits;
+  po.amp_bytes = 2 * sizeof(T);
+  po.machine = options_.machine;
+  po.metrics = &ctx().metrics();
+  return under_noise(po, options_.noise);
+}
+
 template <typename T>
 void Simulator<T>::run_in_place(StateVector<T>& state,
                                 const qc::Circuit& circuit) {
   require(state.num_qubits() == circuit.num_qubits(),
           "run_in_place: state/circuit width mismatch");
-  PlanOptions po;
-  po.fusion = options_.fusion;
-  po.fusion_width = options_.fusion_width;
-  // Noise channels must sample after every individual gate, so the blocked
-  // path only serves noiseless execution.
-  po.blocking = options_.blocking && options_.noise.empty();
-  po.block_qubits = options_.block_qubits;
-  po.amp_bytes = 2 * sizeof(T);
-  po.machine = options_.machine;
-  po.metrics = &ctx().metrics();
-  run_plan(state, compile_plan(circuit, po));
+  run_plan(state, compile_plan(circuit, plan_options()));
 }
 
 template <typename T>
@@ -170,80 +184,107 @@ std::vector<std::vector<bool>> Simulator<T>::run_plan_batch(
   return bits;
 }
 
-namespace {
-
-/// True if every MEASURE comes after every non-measure operation.
-bool measurements_trailing(const qc::Circuit& circuit) {
-  bool seen_measure = false;
-  for (const auto& g : circuit.gates()) {
+ShotSplit split_shots(const qc::Circuit& circuit, const NoiseModel& noise,
+                      const PlanOptions& options) {
+  const unsigned n = circuit.num_qubits();
+  bool has_measure = false;
+  bool sampled = noise.channels().empty();
+  for (const Gate& g : circuit.gates()) {
     if (g.kind == GateKind::MEASURE) {
-      seen_measure = true;
-    } else if (seen_measure && g.kind != GateKind::BARRIER) {
-      return false;
+      has_measure = true;
+    } else if (g.kind == GateKind::RESET ||
+               (has_measure && g.kind != GateKind::BARRIER)) {
+      sampled = false;
     }
   }
-  return true;
+
+  ShotSplit split;
+  split.mode = sampled ? ShotMode::Sampled : ShotMode::Trajectory;
+  split.options = under_noise(options, noise);
+  split.label_width = has_measure ? circuit.num_clbits() : n;
+  if (!sampled && has_measure) {
+    split.circuit = circuit;
+    return split;
+  }
+  // The unitary part when sampled; a measure-free circuit reads out every
+  // qubit q into bit q.
+  split.circuit = qc::Circuit(n, split.label_width);
+  for (const Gate& g : circuit.gates()) {
+    if (!sampled)
+      split.circuit.append(g);
+    else if (g.kind == GateKind::MEASURE)
+      split.measures.emplace_back(g.qubits[0], g.cbit);
+    else if (g.kind != GateKind::BARRIER)
+      split.circuit.append(g);
+  }
+  if (!sampled)
+    split.circuit.measure_all();
+  else if (!has_measure)
+    for (unsigned q = 0; q < n; ++q) split.measures.emplace_back(q, q);
+  return split;
 }
 
-}  // namespace
+template <typename T>
+ShotCounts Simulator<T>::run_shots(
+    const ExecutionPlan& plan, ShotMode mode,
+    const std::vector<std::pair<unsigned, unsigned>>& measures,
+    std::size_t shots, std::uint64_t batch_bytes) {
+  ShotCounts out;
+  if (shots == 0) return out;
+  const unsigned n = plan.num_qubits;
+  if (mode == ShotMode::Sampled) {
+    StateVector<T> state(n, &exec_pool());
+    run_plan(state, plan);
+    const bool readout = options_.noise.has_readout_error();
+    for (std::uint64_t basis : state.sample(shots, rng_)) {
+      std::uint64_t key = 0;
+      for (const auto& [q, c] : measures) {
+        bool bit = test_bit(basis, q);
+        if (readout) bit = options_.noise.flip_readout(bit, rng_);
+        if (bit) key = set_bit(key, c);
+      }
+      ++out.counts[key];
+    }
+    out.batches = 1;
+    out.batch_size = 1;
+    return out;
+  }
+
+  // One batch of states is allocated and reset to |0...0> between batches,
+  // so the working set stays at batch_bytes whatever the shot count.
+  const std::uint64_t state_bytes = pow2(n) * std::uint64_t{2 * sizeof(T)};
+  out.batch_size = static_cast<std::size_t>(std::clamp<std::uint64_t>(
+      batch_bytes / state_bytes, 1, shots));
+  std::vector<StateVector<T>> states;
+  states.reserve(out.batch_size);
+  std::vector<StateVector<T>*> ptrs;
+  for (std::size_t i = 0; i < out.batch_size; ++i) {
+    states.emplace_back(n, &exec_pool());
+    ptrs.push_back(&states.back());
+  }
+  for (std::size_t done = 0; done < shots; done += ptrs.size()) {
+    if (done > 0) {
+      ptrs.resize(std::min(out.batch_size, shots - done));
+      for (StateVector<T>* s : ptrs) s->set_basis_state(0);
+    }
+    for (const auto& bits : run_plan_batch(ptrs, plan, done)) {
+      std::uint64_t key = 0;
+      for (std::size_t b = 0; b < bits.size(); ++b)
+        if (bits[b]) key = set_bit(key, static_cast<unsigned>(b));
+      ++out.counts[key];
+    }
+    ++out.batches;
+  }
+  return out;
+}
 
 template <typename T>
 std::map<std::uint64_t, std::size_t> Simulator<T>::sample_counts(
     const qc::Circuit& circuit, std::size_t shots) {
-  std::map<std::uint64_t, std::size_t> counts;
-  const bool has_measure = std::any_of(
-      circuit.gates().begin(), circuit.gates().end(),
-      [](const Gate& g) { return g.kind == GateKind::MEASURE; });
-  const bool has_reset = std::any_of(
-      circuit.gates().begin(), circuit.gates().end(),
-      [](const Gate& g) { return g.kind == GateKind::RESET; });
-
-  // Gate-level noise forces trajectories; pure readout error does not.
-  const bool fast_path = options_.noise.channels().empty() && !has_reset &&
-                         (!has_measure || measurements_trailing(circuit));
-  if (fast_path) {
-    // Strip trailing measures, run once, sample.
-    qc::Circuit unitary_part(circuit.num_qubits(), circuit.num_clbits());
-    std::vector<std::pair<unsigned, unsigned>> measures;  // (qubit, cbit)
-    for (const auto& g : circuit.gates()) {
-      if (g.kind == GateKind::MEASURE) {
-        measures.emplace_back(g.qubits[0], g.cbit);
-      } else if (g.kind != GateKind::BARRIER) {
-        unitary_part.append(g);
-      }
-    }
-    StateVector<T> state = run(unitary_part);
-    const auto samples = state.sample(shots, rng_);
-    const bool readout = options_.noise.has_readout_error();
-    for (std::uint64_t basis : samples) {
-      std::uint64_t key = 0;
-      if (has_measure) {
-        for (const auto& [q, c] : measures) {
-          bool bit = test_bit(basis, q);
-          if (readout) bit = options_.noise.flip_readout(bit, rng_);
-          if (bit) key = set_bit(key, c);
-        }
-      } else {
-        key = basis;
-      }
-      ++counts[key];
-    }
-    return counts;
-  }
-
-  // General path: one trajectory per shot.
-  for (std::size_t s = 0; s < shots; ++s) {
-    StateVector<T> state = run(circuit);
-    std::uint64_t key = 0;
-    if (has_measure) {
-      for (std::size_t b = 0; b < classical_bits_.size(); ++b)
-        if (classical_bits_[b]) key = set_bit(key, static_cast<unsigned>(b));
-    } else {
-      key = state.sample(1, rng_)[0];
-    }
-    ++counts[key];
-  }
-  return counts;
+  const ShotSplit split = split_shots(circuit, options_.noise, plan_options());
+  return run_shots(compile_plan(split.circuit, split.options), split.mode,
+                   split.measures, shots)
+      .counts;
 }
 
 template <typename T>

@@ -1,13 +1,16 @@
 // Simulator<T>: the user-facing execution engine.
 //
 // Dispatches circuit gates onto the specialized kernels, optionally running
-// the fusion pass first; handles measurement/reset/noise via per-shot
-// trajectories with a fast path (run once + sample) when the circuit is
-// noiseless with only trailing measurements.
+// the fusion pass first; handles measurement/reset/noise through hooks on
+// the compiled ExecutionPlan. It is the one place that turns a circuit and
+// a noise model into shots: split_shots picks sampled mode (prepare once,
+// sample) or trajectory mode (one trajectory per shot) and run_shots runs a
+// compiled plan's shots. sample_counts and svc::Service both use the two.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -16,6 +19,7 @@
 #include "qc/pauli.hpp"
 #include "sv/fusion.hpp"
 #include "sv/noise.hpp"
+#include "sv/plan.hpp"
 #include "sv/state_vector.hpp"
 
 namespace svsim {
@@ -27,8 +31,6 @@ struct MachineSpec;
 }
 
 namespace svsim::sv {
-
-struct ExecutionPlan;
 
 /// Applies one unitary gate to the state (no noise, no measurement):
 /// classify, prepare, and one kernel-table call over the whole counter
@@ -48,8 +50,8 @@ struct SimulatorOptions {
   /// below the block boundary are applied per L2-sized block in one state
   /// traversal (see sv/sweep.hpp and docs/ARCHITECTURE.md). Amplitude-exact:
   /// the same kernel math as the unblocked path (agreement to FP rounding).
-  /// Ignored (falls back to per-gate execution) when the noise model is
-  /// non-empty, since channels sample after every gate.
+  /// Ignored (falls back to per-gate execution) when the noise model has
+  /// channels, since they sample after every gate.
   bool blocking = false;
   /// Block size in qubits for the blocked engine; 0 = auto from the cache
   /// budget (see sv::PlanOptions).
@@ -66,6 +68,44 @@ struct SimulatorOptions {
   /// singletons (ExecutionContext::global()). When set, the context's pool
   /// takes precedence over `pool` for states this simulator creates.
   const ExecutionContext* context = nullptr;
+};
+
+/// Sampled: prepare the unitary part once and draw every shot from it.
+/// Trajectory: one noise and measurement trajectory per shot.
+enum class ShotMode { Sampled, Trajectory };
+
+/// What split_shots decides for one circuit under one noise model.
+struct ShotSplit {
+  ShotMode mode = ShotMode::Sampled;
+  /// The circuit to compile: the unitary part (measures and barriers
+  /// stripped) when sampled, the full circuit otherwise. A circuit with no
+  /// MEASURE reads out as if it measured qubit q into bit q for every q,
+  /// whatever its classical register; trajectory mode appends those.
+  qc::Circuit circuit{1};
+  /// The compile options, with blocking cleared under noise channels
+  /// (they sample after every gate; a sweep applies many per traversal).
+  PlanOptions options;
+  /// Sampled mode: (qubit, cbit) of every stripped measure, in order.
+  std::vector<std::pair<unsigned, unsigned>> measures;
+  /// Bits per counts key (== circuit.num_clbits()).
+  unsigned label_width = 0;
+};
+
+/// Sampled when the model has no noise channels and the circuit has no
+/// RESET and no MEASURE followed by another operation (barriers aside);
+/// trajectory otherwise. Readout error alone keeps sampled mode.
+ShotSplit split_shots(const qc::Circuit& circuit, const NoiseModel& noise,
+                      const PlanOptions& options = {});
+
+/// Default resident bytes of one trajectory batch's state vectors
+/// (Simulator::run_shots); svc::ServiceOptions::batch_bytes defaults to it.
+inline constexpr std::uint64_t kTrajectoryBatchBytes = 64ull << 10;
+
+/// One job's shot histogram and how its trajectories were batched.
+struct ShotCounts {
+  std::map<std::uint64_t, std::size_t> counts;  ///< key -> occurrences
+  std::size_t batches = 0;     ///< 1 when sampled
+  std::size_t batch_size = 0;  ///< states per full batch; 1 when sampled
 };
 
 template <typename T>
@@ -108,11 +148,21 @@ class Simulator {
     return classical_bits_;
   }
 
-  /// Executes `shots` shots and histograms the results. For a noiseless
-  /// circuit whose measurements (if any) all trail the unitary part, the
-  /// state is prepared once and sampled; otherwise each shot is an
-  /// independent trajectory. Keys: the measured classical register if the
-  /// circuit measures, else the full basis-state index.
+  /// Runs `shots` shots of a plan compiled from a ShotSplit circuit.
+  /// Sampled: one run_plan, `shots` draws from the state, then each
+  /// `measures` bit read through the readout error, in that RNG order.
+  /// Trajectory: batches of max(1, batch_bytes / state bytes) states,
+  /// allocated once and reset between batches, through run_plan_batch;
+  /// trajectory t draws from its own stream keyed by t, so the counts do
+  /// not depend on batch_bytes.
+  ShotCounts run_shots(
+      const ExecutionPlan& plan, ShotMode mode,
+      const std::vector<std::pair<unsigned, unsigned>>& measures,
+      std::size_t shots, std::uint64_t batch_bytes = kTrajectoryBatchBytes);
+
+  /// Executes `shots` shots and histograms the results: split_shots,
+  /// compile once, run_shots. Keys: the classical register if the circuit
+  /// measures, else the full basis-state index.
   std::map<std::uint64_t, std::size_t> sample_counts(
       const qc::Circuit& circuit, std::size_t shots);
 
@@ -123,6 +173,7 @@ class Simulator {
  private:
   /// The context runs resolve against (options_.context or the global one).
   const ExecutionContext& ctx() const noexcept;
+  PlanOptions plan_options() const;
   /// Pool for states this simulator creates: the context's when a context
   /// was supplied, else options_.pool.
   ThreadPool& exec_pool() const noexcept;

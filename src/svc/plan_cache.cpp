@@ -8,6 +8,7 @@
 #include "machine/machine_spec.hpp"
 #include "obs/metrics.hpp"
 #include "qc/circuit.hpp"
+#include "sv/simulator.hpp"
 
 namespace svsim::svc {
 
@@ -78,6 +79,18 @@ std::uint64_t fingerprint_circuit(const qc::Circuit& circuit) {
       for (unsigned r = 0; r < m.dim(); ++r)
         for (unsigned c = 0; c < m.dim(); ++c) hash_complex(h, m(r, c));
     }
+  }
+  return h.value();
+}
+
+std::uint64_t fingerprint_shots(const sv::ShotSplit& split) {
+  // The label width is the split circuit's classical register width.
+  Fnv1a h;
+  h.u64(fingerprint_circuit(split.circuit));
+  h.u32(static_cast<std::uint32_t>(split.mode));
+  for (const auto& [q, c] : split.measures) {
+    h.u32(q);
+    h.u32(c);
   }
   return h.value();
 }

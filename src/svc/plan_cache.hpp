@@ -3,9 +3,10 @@
 // The serve loop's economics hinge on never recompiling a circuit a client
 // already submitted: a cache entry holds the compiled plan (plus everything
 // the executor needs to run it without re-inspecting the circuit — the shot
-// strategy, the trailing-measure map, and the perf::cost_plan admission
-// price). Entries are keyed by three FNV-1a fingerprints — circuit
-// structure, MachineSpec description, and the effective compile options
+// mode, the trailing-measure map, and the perf::cost_plan admission
+// price). Entries are keyed by three FNV-1a fingerprints — the shot split
+// (compiled circuit, shot mode and measure map), MachineSpec description,
+// and the effective compile options
 // (including the *resolved* cache budget, so SVSIM_CACHE_BUDGET=probed
 // changing block sizing changes the key) — and evicted LRU by the heap
 // bytes each entry holds (counted in malloc chunks) against a byte budget.
@@ -30,6 +31,9 @@
 
 namespace svsim::qc {
 class Circuit;
+}
+namespace svsim::sv {
+struct ShotSplit;
 }
 namespace svsim::machine {
 struct MachineSpec;
@@ -65,6 +69,12 @@ struct PlanKeyHash {
 /// payload edits all change it.
 std::uint64_t fingerprint_circuit(const qc::Circuit& circuit);
 
+/// Fingerprint of what a cache entry is compiled and read out from: the
+/// split's circuit (whose register width is the label width), shot mode
+/// and measure map. A noisy and a noiseless job over one circuit split
+/// differently, so they never share an entry.
+std::uint64_t fingerprint_shots(const sv::ShotSplit& split);
+
 /// Fingerprint of the machine description that sizes blocks and prices
 /// admission; nullptr (no machine) has its own stable value.
 std::uint64_t fingerprint_machine(const machine::MachineSpec* machine);
@@ -85,16 +95,16 @@ std::uint64_t fingerprint_plan_options(const sv::PlanOptions& options,
 std::uint64_t plan_footprint_bytes(const sv::ExecutionPlan& plan);
 
 /// One cached compilation: everything needed to execute a job without
-/// touching the circuit again.
+/// touching the circuit again — the compiled sv::ShotSplit and its price.
 struct CachedPlan {
   std::shared_ptr<const sv::ExecutionPlan> plan;
   perf::PlanCost cost;               ///< admission price (modeled)
   std::uint64_t footprint_bytes = 0;
-  /// True = the plan is the stripped unitary part; run once and sample
-  /// (`measures` maps sampled basis states to classical bits). False = one
-  /// trajectory per shot through the full plan's MeasureFlush phases.
+  /// ShotSplit::mode: true = the plan is the unitary part, run once and
+  /// sampled through `measures`; false = one trajectory per shot.
   bool sampled_mode = true;
   std::vector<std::pair<unsigned, unsigned>> measures;  ///< (qubit, cbit)
+  /// ShotSplit::label_width: bits in each counts label.
   unsigned num_clbits = 0;
 };
 

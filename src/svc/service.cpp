@@ -25,7 +25,6 @@
 #include "perf/perf_simulator.hpp"
 #include "qc/library.hpp"
 #include "qc/qasm.hpp"
-#include "sv/engine.hpp"
 #include "sv/plan.hpp"
 #include "sv/simd/simd.hpp"
 #include "sv/simulator.hpp"
@@ -55,20 +54,6 @@ double host_memory_bytes() {
   return bytes;
 }
 
-/// True if every MEASURE comes after every non-measure operation (the same
-/// predicate Simulator::sample_counts gates its fast path on).
-bool measurements_trailing(const qc::Circuit& circuit) {
-  bool seen_measure = false;
-  for (const auto& g : circuit.gates()) {
-    if (g.kind == qc::GateKind::MEASURE) {
-      seen_measure = true;
-    } else if (seen_measure && g.kind != qc::GateKind::BARRIER) {
-      return false;
-    }
-  }
-  return true;
-}
-
 /// MSB-first classical-register rendering of a counts key (identical to the
 /// `svsim run` output labels).
 std::string bit_label(std::uint64_t key, unsigned width) {
@@ -77,24 +62,6 @@ std::string bit_label(std::uint64_t key, unsigned width) {
   for (unsigned b = width; b-- > 0;)
     label += ((key >> b) & 1) ? '1' : '0';
   return label;
-}
-
-sv::PlanOptions plan_options_for(const JobRequest& req,
-                                 const machine::MachineSpec* machine,
-                                 unsigned element_bytes) {
-  sv::PlanOptions po;
-  po.fusion = req.fusion;
-  po.fusion_width = req.fusion_width;
-  // Mirrors Simulator::run_in_place: channels sample after every gate, so
-  // the blocked path only serves noiseless execution.
-  po.blocking = req.blocking && req.noise.channels().empty();
-  po.block_qubits = req.block_qubits;
-  // f32 amplitudes halve the footprint, so auto-sized blocks go twice as
-  // deep; amp_bytes also feeds the plan fingerprint, keeping precisions in
-  // separate cache entries.
-  po.amp_bytes = 2 * element_bytes;
-  po.machine = machine;
-  return po;
 }
 
 sv::ExecutionPlan compile_for_service(const qc::Circuit& circuit,
@@ -113,83 +80,6 @@ sv::ExecutionPlan compile_for_service(const qc::Circuit& circuit,
   }
   plan.validate();
   return plan;
-}
-
-/// Runs the cached plan at amplitude precision T and fills the counts and
-/// batch attribution. The RNG discipline (sampling, then per-sample
-/// readout flips; global trajectory seeding) is identical across
-/// precisions — only the state element type changes.
-template <typename T>
-void execute_counts(const CachedPlan& cached, const JobRequest& request,
-                    const ServiceOptions& options,
-                    const sv::SimulatorOptions& sim_opts,
-                    const ExecutionContext& ctx, unsigned label_width,
-                    JobResult& result) {
-  const unsigned n = cached.plan->num_qubits;
-  ThreadPool* const pool = &ctx.pool();
-  if (cached.sampled_mode) {
-    // One preparation, `shots` samples; the RNG consumption replicates
-    // Simulator::sample_counts exactly.
-    sv::Simulator<T> sim(sim_opts);
-    sv::StateVector<T> state(n, pool);
-    sim.run_plan(state, *cached.plan);
-    const auto samples = state.sample(request.shots, sim.rng());
-    const bool readout = request.noise.has_readout_error();
-    for (std::uint64_t basis : samples) {
-      std::uint64_t key_bits = 0;
-      if (!cached.measures.empty()) {
-        for (const auto& [q, c] : cached.measures) {
-          bool bit = test_bit(basis, q);
-          if (readout) bit = request.noise.flip_readout(bit, sim.rng());
-          if (bit) key_bits = set_bit(key_bits, c);
-        }
-      } else {
-        key_bits = basis;
-      }
-      ++result.counts[bit_label(key_bits, label_width)];
-    }
-    result.batches = 1;
-    result.batch_size = 1;
-  } else {
-    // Trajectory mode: batches of states walk the plan together, each
-    // trajectory keyed by its global index so the split does not affect
-    // the statistics. One batch of states is allocated per job and reset
-    // to |0...0> between batches, so the working set stays at batch_bytes.
-    const std::uint64_t state_bytes = pow2(n) * std::uint64_t{2 * sizeof(T)};
-    const std::size_t batch_size = static_cast<std::size_t>(std::clamp<
-        std::uint64_t>(options.batch_bytes / std::max<std::uint64_t>(
-                           state_bytes, 1),
-                       1, request.shots));
-    std::vector<sv::StateVector<T>> states;
-    states.reserve(batch_size);
-    std::vector<sv::StateVector<T>*> ptrs;
-    ptrs.reserve(batch_size);
-    for (std::size_t i = 0; i < batch_size; ++i) {
-      states.emplace_back(n, pool);
-      ptrs.push_back(&states.back());
-    }
-    sv::Simulator<T> sim(sim_opts);
-    std::size_t done = 0;
-    while (done < request.shots) {
-      const std::size_t this_batch =
-          std::min(batch_size, request.shots - done);
-      if (done > 0) {
-        ptrs.resize(this_batch);
-        for (sv::StateVector<T>* s : ptrs) s->set_basis_state(0);
-      }
-      const auto bits =
-          sim.run_plan_batch(ptrs, *cached.plan, /*first_trajectory=*/done);
-      for (const auto& traj_bits : bits) {
-        std::uint64_t key_bits = 0;
-        for (std::size_t b = 0; b < traj_bits.size(); ++b)
-          if (traj_bits[b]) key_bits = set_bit(key_bits, unsigned(b));
-        ++result.counts[bit_label(key_bits, label_width)];
-      }
-      done += this_batch;
-      ++result.batches;
-    }
-    result.batch_size = batch_size;
-  }
 }
 
 }  // namespace
@@ -276,23 +166,28 @@ JobResult Service::execute(const JobRequest& request,
     return result;
   }
 
-  // Normalize the way `svsim run` does: a purely unitary circuit measures
-  // every qubit, so counts always key on the classical register.
-  qc::Circuit circuit = request.circuit;
-  if (circuit.is_unitary()) circuit.measure_all();
-
-  sv::PlanOptions po =
-      plan_options_for(request, &options_.machine, element_bytes);
+  sv::PlanOptions po;
+  po.fusion = request.fusion;
+  po.fusion_width = request.fusion_width;
+  po.blocking = request.blocking;
+  po.block_qubits = request.block_qubits;
+  // f32 amplitudes halve the footprint, so auto-sized blocks go twice as
+  // deep; amp_bytes also feeds the plan fingerprint, keeping precisions in
+  // separate cache entries.
+  po.amp_bytes = 2 * element_bytes;
+  po.machine = &options_.machine;
   // Compile-path telemetry (fusion/sweep/plan counters) lands in the
   // context's registry; the pointer is not part of the fingerprint.
   po.metrics = &ctx.metrics();
+  const sv::ShotSplit split =
+      sv::split_shots(request.circuit, request.noise, po);
 
   // ---- Cache lookup (compile at most once per key) ----------------------
   PlanKey key;
-  key.circuit_fp = fingerprint_circuit(circuit);
+  key.circuit_fp = fingerprint_shots(split);
   key.machine_fp = fingerprint_machine(&options_.machine);
-  key.options_fp = fingerprint_plan_options(po, request.ranks,
-                                            request.scheduler, po.amp_bytes);
+  key.options_fp = fingerprint_plan_options(
+      split.options, request.ranks, request.scheduler, split.options.amp_bytes);
   result.cache_key = key.to_string();
 
   std::shared_ptr<const CachedPlan> cached = cache_.get(key);
@@ -300,36 +195,11 @@ JobResult Service::execute(const JobRequest& request,
   if (cached == nullptr) {
     const auto compile_start = Clock::now();
     auto entry = std::make_shared<CachedPlan>();
-    entry->num_clbits = circuit.num_clbits();
-
-    const bool has_measure = std::any_of(
-        circuit.gates().begin(), circuit.gates().end(),
-        [](const qc::Gate& g) { return g.kind == qc::GateKind::MEASURE; });
-    const bool has_reset = std::any_of(
-        circuit.gates().begin(), circuit.gates().end(),
-        [](const qc::Gate& g) { return g.kind == qc::GateKind::RESET; });
-    entry->sampled_mode = request.noise.channels().empty() && !has_reset &&
-                          (!has_measure || measurements_trailing(circuit));
-
-    if (entry->sampled_mode) {
-      // Prepare-once-sample-many: strip the trailing measures and compile
-      // the unitary part, exactly as Simulator::sample_counts does, so
-      // sampled service results are bit-identical to it.
-      qc::Circuit unitary_part(circuit.num_qubits(), circuit.num_clbits());
-      for (const auto& g : circuit.gates()) {
-        if (g.kind == qc::GateKind::MEASURE) {
-          entry->measures.emplace_back(g.qubits[0], g.cbit);
-        } else if (g.kind != qc::GateKind::BARRIER) {
-          unitary_part.append(g);
-        }
-      }
-      entry->plan = std::make_shared<const sv::ExecutionPlan>(
-          compile_for_service(unitary_part, po, request.ranks,
-                              request.scheduler));
-    } else {
-      entry->plan = std::make_shared<const sv::ExecutionPlan>(
-          compile_for_service(circuit, po, request.ranks, request.scheduler));
-    }
+    entry->sampled_mode = split.mode == sv::ShotMode::Sampled;
+    entry->measures = split.measures;
+    entry->num_clbits = split.label_width;
+    entry->plan = std::make_shared<const sv::ExecutionPlan>(compile_for_service(
+        split.circuit, split.options, request.ranks, request.scheduler));
 
     machine::ExecConfig cfg;
     cfg.threads = options_.threads;
@@ -365,25 +235,25 @@ JobResult Service::execute(const JobRequest& request,
 
   // ---- Execute ----------------------------------------------------------
   const auto exec_start = Clock::now();
-  const unsigned n = cached->plan->num_qubits;
-  const bool has_measure = !cached->measures.empty() ||
-                           (!cached->sampled_mode && cached->num_clbits > 0);
-  const unsigned label_width =
-      has_measure ? std::max(cached->num_clbits, 1u) : n;
-
   sv::SimulatorOptions sim_opts;
   sim_opts.pool = options_.pool;
   sim_opts.context = &ctx;
   sim_opts.seed = request.seed;
   sim_opts.noise = request.noise;
-
-  if (element_bytes == 4) {
-    execute_counts<float>(*cached, request, options_, sim_opts, ctx,
-                          label_width, result);
-  } else {
-    execute_counts<double>(*cached, request, options_, sim_opts, ctx,
-                           label_width, result);
-  }
+  const auto run_shots = [&](auto sim) {
+    const sv::ShotCounts shots = sim.run_shots(
+        *cached->plan,
+        cached->sampled_mode ? sv::ShotMode::Sampled : sv::ShotMode::Trajectory,
+        cached->measures, request.shots, options_.batch_bytes);
+    for (const auto& [bits, count] : shots.counts)
+      result.counts[bit_label(bits, cached->num_clbits)] = count;
+    result.batches = shots.batches;
+    result.batch_size = shots.batch_size;
+  };
+  if (element_bytes == 4)
+    run_shots(sv::Simulator<float>(sim_opts));
+  else
+    run_shots(sv::Simulator<double>(sim_opts));
 
   result.execute_seconds = seconds_since(exec_start);
   result.total_seconds = seconds_since(job_start);

@@ -2,17 +2,16 @@
 //
 // A Service owns a PlanCache and executes JobRequests against it:
 //
-//   normalize -> fingerprint -> cache get-or-compile -> admission -> execute
+//   split -> fingerprint -> cache get-or-compile -> admission -> execute
 //
-// Compilation (fusion, sweep grouping, distributed exchange placement, and
-// the perf::cost_plan admission price) happens at most once per distinct
-// (circuit, machine, options) key; every later submission of the same job
-// reuses the cached plan and pays execution only. Shots amortize further:
-// a noiseless job with trailing measurements runs ONE state preparation and
-// samples (the Simulator::sample_counts fast path, bit-identical to it by
-// construction), and a noisy job batches trajectories through
-// sv::run_plan_batch so the plan walk and gate preparation are shared
-// across the batch.
+// The split (sv::split_shots) and the execution (sv::Simulator::run_shots)
+// are the ones Simulator::sample_counts uses, so a job's counts equal
+// sample_counts' at the same seed; the service adds the cache, admission
+// and label rendering. Compilation (fusion, sweep grouping, distributed
+// exchange placement, and the perf::cost_plan admission price) happens at
+// most once per distinct (shot split, machine, options) key; every later
+// submission of the same job reuses the cached plan and pays execution
+// only.
 //
 // The line-delimited serve loop (`svsim serve`, serve_session below) is a
 // thin transport over run_job: one JSON job per input line, one JSON result
@@ -36,6 +35,7 @@
 #include "obs/context.hpp"
 #include "qc/circuit.hpp"
 #include "sv/noise.hpp"
+#include "sv/simulator.hpp"
 #include "svc/plan_cache.hpp"
 
 namespace svsim::svc {
@@ -53,7 +53,7 @@ struct ServiceOptions {
   /// batch size is max(1, batch_bytes / state_bytes), capped by the shot
   /// count. A job allocates one batch and reuses it for every batch.
   /// Results are invariant to the split (global trajectory seeding).
-  std::uint64_t batch_bytes = 64ull << 10;
+  std::uint64_t batch_bytes = sv::kTrajectoryBatchBytes;
   /// Threads assumed by the admission price model (0 = all cores).
   unsigned threads = 0;
   /// Amplitude precision for jobs that do not request one ("f64" | "f32").

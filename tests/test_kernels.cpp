@@ -412,5 +412,32 @@ TEST(BlockKernels, CounterSpaceOfEachClass) {
   }
 }
 
+TEST(KernelVariant, PairwiseMatchesRunBlocked) {
+  const unsigned n = 10;
+  Xoshiro256 rng(3);
+  const qc::Matrix u = qc::Matrix::random_unitary(2, rng);
+  for (unsigned t = 0; t < n; t += 3) {
+    StateVector<double> a(n), b(n);
+    Simulator<double> prep;
+    // Identical random-ish states.
+    for (unsigned q = 0; q < n; ++q) {
+      apply_gate(a, qc::Gate::h(q));
+      apply_gate(b, qc::Gate::h(q));
+      apply_gate(a, qc::Gate::t(q));
+      apply_gate(b, qc::Gate::t(q));
+    }
+    apply_gate(a, qc::Gate::unitary({t}, u));
+    apply_matrix1_pairwise(b.data(), n, t, u, b.pool());
+    // The run-blocked table entry may fuse multiplies (FMA) where the
+    // pairwise reference does not; allow FP slack.
+    const auto va = a.to_vector();
+    const auto vb = b.to_vector();
+    double dist = 0.0;
+    for (std::size_t i = 0; i < va.size(); ++i)
+      dist = std::max(dist, std::abs(va[i] - vb[i]));
+    EXPECT_LT(dist, 1e-12) << "target " << t;
+  }
+}
+
 }  // namespace
 }  // namespace svsim::sv

@@ -20,6 +20,7 @@
 #endif
 
 #include "common/error.hpp"
+#include "dist/dist_plan.hpp"
 #include "machine/machine_spec.hpp"
 #include "obs/metrics.hpp"
 #include "qc/circuit.hpp"
@@ -174,6 +175,30 @@ TEST(PlanCache, FootprintEstimateCoversPayloads) {
   EXPECT_GT(fp, sizeof(sv::ExecutionPlan));
   // A wider circuit with more gates must cost more.
   EXPECT_GT(svc::plan_footprint_bytes(sv::compile_plan(qc::qft(10), {})), fp);
+
+  // The footprint counts capacities: a compiled plan, single-node or
+  // distributed, leaves no growth slack for the cache to pay for.
+  const qc::Circuit qv = qc::random_quantum_volume(10, 6, 3);
+  sv::PlanOptions fused;
+  fused.fusion = true;
+  fused.blocking = true;
+  dist::DistExecOptions dopts;
+  dopts.plan = fused;
+  for (const sv::ExecutionPlan& p :
+       {sv::compile_plan(qv, {}), sv::compile_plan(qv, fused),
+        dist::compile_distributed(qv, 2, {}),
+        dist::compile_distributed(qv, 2, dopts)}) {
+    std::size_t slack = (p.phases.capacity() - p.phases.size()) +
+                        (p.final_slot_of.capacity() - p.final_slot_of.size());
+    for (const sv::PlanPhase& phase : p.phases) {
+      slack += (phase.gates.capacity() - phase.gates.size()) +
+               (phase.hops.capacity() - phase.hops.size());
+      for (const qc::Gate& g : phase.gates)
+        slack += (g.qubits.capacity() - g.qubits.size()) +
+                 (g.params.capacity() - g.params.size());
+    }
+    EXPECT_EQ(slack, 0u) << p.summary_id();
+  }
 }
 
 // mallinfo2 (glibc 2.33+) reads the real allocator; a sanitizer runtime
@@ -401,23 +426,48 @@ svc::JobRequest qft_job(const std::string& id, unsigned qubits,
 }  // namespace
 
 TEST(Service, SampledModeBitIdenticalToSimulator) {
-  svc::Service service{svc::ServiceOptions{}};
-  svc::JobRequest req = qft_job("j", 5, 500, 42);
-  const svc::JobResult result = service.run_job(req);
-  ASSERT_TRUE(result.ok) << result.error_message;
-  EXPECT_EQ(result.mode, "sampled");
-  EXPECT_EQ(result.executions, 1u);
-
-  // The service replicates Simulator::sample_counts' fast path (one state
-  // preparation + sampling with identical RNG consumption), so at a fixed
-  // seed the histograms are bit-identical, not merely close.
-  sv::SimulatorOptions opts;
-  opts.seed = 42;
-  sv::Simulator<double> sim(opts);
-  qc::Circuit circuit = qc::qft(5);
-  circuit.measure_all();
-  const auto expected = label_counts(sim.sample_counts(circuit, 500), 5);
-  EXPECT_EQ(result.counts, expected);
+  // The service and Simulator::sample_counts run the same split_shots and
+  // run_shots, so at a fixed seed the histograms are bit-identical, not
+  // merely close: sampled jobs, noisy trajectories and mid-circuit measures
+  // alike, whatever the trajectory batch size.
+  struct Case {
+    const char* line;
+    const char* mode;
+  };
+  const Case cases[] = {
+      {R"({"qft":5,"shots":500,"options":{"seed":42}})", "sampled"},
+      {R"({"qv":[6,3,5],"shots":60,"options":{"seed":7},)"
+       R"("noise":{"depolarizing":0.02,"readout":[0.01,0.02]}})",
+       "trajectory"},
+      {R"({"qasm":"OPENQASM 2.0; include \"qelib1.inc\"; qreg q[3];)"
+       R"( creg c[3]; h q[0]; measure q[0] -> c[0]; cx q[0],q[1]; h q[2];)"
+       R"( measure q[1] -> c[1]; measure q[2] -> c[2];",)"
+       R"("shots":200,"options":{"seed":3}})",
+       "trajectory"},
+  };
+  for (const Case& c : cases) {
+    const svc::JobRequest req = svc::parse_job_line(c.line);
+    sv::SimulatorOptions opts;
+    opts.seed = req.seed;
+    opts.noise = req.noise;
+    sv::Simulator<double> sim(opts);
+    const auto expected =
+        label_counts(sim.sample_counts(req.circuit, req.shots),
+                     sv::split_shots(req.circuit, req.noise).label_width);
+    for (const std::uint64_t batch_bytes :
+         {std::uint64_t{1}, svc::ServiceOptions{}.batch_bytes}) {
+      svc::ServiceOptions options;
+      options.batch_bytes = batch_bytes;
+      svc::Service service(options);
+      const svc::JobResult result = service.run_job(req);
+      ASSERT_TRUE(result.ok) << result.error_message;
+      EXPECT_EQ(result.mode, c.mode) << c.line;
+      EXPECT_EQ(result.executions,
+                result.mode == "sampled" ? 1u : req.shots);
+      EXPECT_EQ(result.counts, expected)
+          << c.line << " batch_bytes=" << batch_bytes;
+    }
+  }
 }
 
 TEST(Service, CacheHitReturnsBitIdenticalPlan) {
@@ -445,6 +495,31 @@ TEST(Service, DifferentOptionsMissTheCache) {
   ASSERT_TRUE(result.ok);
   EXPECT_FALSE(result.cache_hit);
   EXPECT_EQ(service.cache().misses(), 2u);
+
+  // Noise is no compile option, but a noise channel turns a sampled job
+  // into trajectories: with and without one, the same circuit must miss,
+  // in either order.
+  svc::JobRequest clean;
+  clean.circuit = qc::Circuit(1);
+  clean.circuit.x(0);
+  clean.shots = 1000;
+  svc::JobRequest noisy = clean;
+  noisy.noise.add_bit_flip(0.5);
+  for (const bool noisy_first : {false, true}) {
+    svc::Service fresh{svc::ServiceOptions{}};
+    const auto first = fresh.run_job(noisy_first ? noisy : clean);
+    const auto second = fresh.run_job(noisy_first ? clean : noisy);
+    ASSERT_TRUE(first.ok && second.ok);
+    EXPECT_FALSE(second.cache_hit);
+    EXPECT_EQ(fresh.cache().misses(), 2u);
+    const svc::JobResult& n = noisy_first ? first : second;
+    const svc::JobResult& c = noisy_first ? second : first;
+    EXPECT_EQ(n.mode, "trajectory");
+    EXPECT_EQ(n.executions, noisy.shots);
+    EXPECT_EQ(n.counts.size(), 2u);
+    EXPECT_EQ(c.mode, "sampled");
+    EXPECT_EQ(c.counts, (std::map<std::string, std::size_t>{{"1", 1000}}));
+  }
 }
 
 TEST(Service, EvictionUnderSmallByteBudget) {
@@ -491,8 +566,9 @@ TEST(Service, AdmissionRejectsOverCostJob) {
 
 TEST(Service, TrajectoryBatchingMatchesPerShotStatistics) {
   // X(0) then bit-flip noise: P(outcome "0") = p. Compare the service's
-  // batched trajectories against the Simulator's per-shot general path at
-  // binomial tolerance (4 sigma of the two-sample difference).
+  // batched trajectories against the closed form and against
+  // Simulator::sample_counts on an independent seed at binomial tolerance
+  // (4 sigma of the two-sample difference).
   constexpr double kP = 0.1;
   constexpr std::size_t kShots = 2000;
   qc::Circuit circuit(1, 1);

@@ -6,6 +6,8 @@
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "obs/context.hpp"
+#include "obs/metrics.hpp"
 #include "qc/dense.hpp"
 #include "qc/library.hpp"
 
@@ -145,13 +147,22 @@ TEST(Simulator, SampleCountsTrajectoryPathForMidCircuitMeasure) {
   // Measure then act on the outcome qubit again: forces trajectories.
   Circuit c(1);
   c.h(0).measure(0, 0).h(0).measure(0, 0);
-  Simulator<double> sim;
-  const auto counts = sim.sample_counts(c, 400);
+  obs::MetricsRegistry registry;
+  ExecutionContext ctx;
+  ctx.with_metrics(registry);
+  SimulatorOptions opts;
+  opts.context = &ctx;
+  Simulator<double> sim(opts);
+  const auto counts = sim.sample_counts(c, 200);
   std::size_t total = 0;
   for (const auto& [k, v] : counts) total += v;
-  EXPECT_EQ(total, 400u);
+  EXPECT_EQ(total, 200u);
   // Both outcomes possible.
   EXPECT_EQ(counts.size(), 2u);
+  // One compile serves every trajectory.
+  EXPECT_EQ(registry.counter("plan.compiles").value(), 1u);
+  EXPECT_EQ(registry.counter("sv.runs").value(), 200u);
+  EXPECT_TRUE(sim.sample_counts(c, 0).empty());
 }
 
 TEST(Simulator, ExpectationGhzParity) {

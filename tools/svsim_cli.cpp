@@ -368,11 +368,12 @@ int cmd_run(const Args& args) {
     opts.block_qubits =
         static_cast<unsigned>(std::stoul(args.get("block-qubits", "0")));
   }
-  if (circuit.is_unitary()) circuit.measure_all();
+  const unsigned label_width =
+      sv::split_shots(circuit, opts.noise).label_width;
   auto print_counts = [&](const auto& counts) {
     for (const auto& [bits, count] : counts) {
       std::string label;
-      for (unsigned b = circuit.num_clbits(); b-- > 0;)
+      for (unsigned b = label_width; b-- > 0;)
         label += ((bits >> b) & 1) ? '1' : '0';
       std::cout << label << " : " << count << "\n";
     }
@@ -406,12 +407,17 @@ int cmd_run(const Args& args) {
   require(backend == "sv" || backend == "sv32",
           "unknown backend '" + backend + "' (sv, sv32, stab)");
   const bool f32 = backend == "sv32" || element_bytes_from_args(args) == 4;
+  auto run_counts = [&](auto& sim) {
+    print_counts(sim.sample_counts(circuit, shots));
+    // Batched trajectories record no plan phases: profile one trajectory.
+    if (profiler && profiler->runs().empty()) sim.run(circuit);
+  };
   if (f32) {
     sv::Simulator<float> sim(opts);
-    print_counts(sim.sample_counts(circuit, shots));
+    run_counts(sim);
   } else {
     sv::Simulator<double> sim(opts);
-    print_counts(sim.sample_counts(circuit, shots));
+    run_counts(sim);
   }
 
   if (profiler) {
@@ -421,8 +427,8 @@ int cmd_run(const Args& args) {
     capture.reset();
     require(!runs.empty() && !plans.empty(),
             "--profile: the run executed no plans to profile");
-    // The most recent run and plan always correspond, whatever the shot
-    // strategy (single sampled run or per-shot trajectories) did.
+    // The most recent run and plan always correspond: the sampled run, or
+    // the one profiled trajectory.
     const auto m = machine_by_name(args.get("machine", "a64fx"));
     machine::ExecConfig cfg;
     if (args.flag("threads"))
