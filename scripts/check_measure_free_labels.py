@@ -8,10 +8,15 @@ A circuit with no MEASURE is read out as if every qubit q were measured into
 bit q, whatever classical register it declares (docs/SERVICE.md "Batching
 semantics"). Two 2-qubit circuits exercise both shot modes: one declares no
 `creg` (the QASM parser gives it a single classical bit) and samples; the
-other resets a qubit without measuring and runs trajectories. Each goes
-through `svsim run` and through one `svsim serve` session. Every histogram
-must hold 2-bit labels, each label once, all four outcomes, and every shot.
-Exits nonzero with a diagnostic on the first violation.
+other resets a qubit without measuring and runs trajectories. A third,
+Clifford circuit measures qubits into different cbits of a 3-bit register
+(q0 -> c2, q1 -> c0), so its labels are 100 and 101. Each goes through
+`svsim run` and through one `svsim serve` session; the sampled-mode
+(reset-free) ones also through `svsim run --backend stab`, which must print
+the same label set as the state-vector run. Every histogram must hold
+MSB-first labels of the expected width, each label once, every expected
+outcome, and every shot. Exits nonzero with a diagnostic on the first
+violation.
 """
 
 import argparse
@@ -20,13 +25,20 @@ import os
 import subprocess
 import sys
 
-HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\nqreg q[2];\n'
+HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+TWO_BITS = {"00", "01", "10", "11"}
+# name -> (QASM, the label set every backend must print)
 CIRCUITS = {
-    "no-creg": HEADER + "h q[0];\nh q[1];\n",
-    "reset": HEADER + "reset q[0];\nh q[0];\nh q[1];\n",
+    "no-creg": (HEADER + "qreg q[2];\nh q[0];\nh q[1];\n", TWO_BITS),
+    "reset": (HEADER + "qreg q[2];\nreset q[0];\nh q[0];\nh q[1];\n",
+              TWO_BITS),
+    "creg-map": (HEADER + "qreg q[3];\ncreg c[3];\nx q[0];\nh q[1];\n"
+                 "measure q[0] -> c[2];\nmeasure q[1] -> c[0];\n",
+                 {"100", "101"}),
 }
+# The stabilizer backend runs sampled-mode (reset-free) circuits only.
+STAB_CIRCUITS = ("no-creg", "creg-map")
 SHOTS = 400
-LABELS = {"00", "01", "10", "11"}
 
 
 def fail(msg):
@@ -34,13 +46,12 @@ def fail(msg):
     sys.exit(1)
 
 
-def check_histogram(where, pairs):
+def check_histogram(where, pairs, expected):
     labels = [label for label, _ in pairs]
     if len(labels) != len(set(labels)):
         fail(f"{where}: a label repeats: {labels}")
-    if set(labels) != LABELS:
-        fail(f"{where}: labels {sorted(labels)} are not the four 2-bit "
-             f"outcomes")
+    if set(labels) != expected:
+        fail(f"{where}: labels {sorted(labels)} are not {sorted(expected)}")
     if sum(count for _, count in pairs) != SHOTS:
         fail(f"{where}: counts do not add up to {SHOTS} shots")
 
@@ -63,19 +74,22 @@ def main():
     os.makedirs(args.output_dir, exist_ok=True)
 
     jobs = []
-    for name, qasm in CIRCUITS.items():
+    for name, (qasm, expected) in CIRCUITS.items():
         path = os.path.join(args.output_dir, f"measure_free_{name}.qasm")
         with open(path, "w") as f:
             f.write(qasm)
-        out = run([args.emit_with, "run", path, "--shots", str(SHOTS),
-                   "--seed", "5"])
-        pairs = []
-        for line in out.splitlines():
-            label, sep, count = line.partition(" : ")
-            if not sep:
-                fail(f"run {name}: unexpected output line {line!r}")
-            pairs.append((label, int(count)))
-        check_histogram(f"run {name}", pairs)
+        backends = ["sv", "stab"] if name in STAB_CIRCUITS else ["sv"]
+        for backend in backends:
+            out = run([args.emit_with, "run", path, "--shots", str(SHOTS),
+                       "--seed", "5", "--backend", backend])
+            pairs = []
+            for line in out.splitlines():
+                label, sep, count = line.partition(" : ")
+                if not sep:
+                    fail(f"run {name} ({backend}): unexpected output line "
+                         f"{line!r}")
+                pairs.append((label, int(count)))
+            check_histogram(f"run {name} ({backend})", pairs, expected)
         jobs.append(json.dumps({"id": name, "qasm": qasm, "shots": SHOTS,
                                 "options": {"seed": 5}}))
 
@@ -89,7 +103,7 @@ def main():
         name = fields["id"]
         if fields.get("ok") is not True:
             fail(f"serve {name}: job failed: {line}")
-        check_histogram(f"serve {name}", fields["counts"])
+        check_histogram(f"serve {name}", fields["counts"], CIRCUITS[name][1])
         seen.add(name)
     if seen != set(CIRCUITS):
         fail(f"serve returned results for {sorted(seen)}, "

@@ -23,7 +23,7 @@ ctest --test-dir "$BUILD" 2>&1 | tee test_output.txt
 
 # Validate what we just wrote, then refresh the smoke baseline used by
 # scripts/bench_compare.py on this machine.
-python3 scripts/check_bench_schema.py \
+python3 scripts/check_schema.py bench \
   --json BENCH_results.json --jsonl BENCH_results.jsonl
 python3 scripts/bench_compare.py --self-test BENCH_results.json
 
@@ -104,15 +104,15 @@ EOF
 # canned session (cache hit, trajectories, bad line, admission rejection),
 # then the same session through four serve workers (results correlate by id;
 # the summary's svc block must account every job to a worker).
-python3 scripts/check_service_schema.py \
+python3 scripts/check_schema.py service \
   --emit-with "$BUILD"/tools/svsim --output "$BUILD"/service_schema_check.jsonl
-python3 scripts/check_service_schema.py --threads 4 \
+python3 scripts/check_schema.py service --threads 4 \
   --emit-with "$BUILD"/tools/svsim \
   --output "$BUILD"/service_schema_check_w4.jsonl
 
 # A profile report must come out of the plan-phase profiler: emit the
 # blocked + simulated-distributed artifacts and validate them.
-python3 scripts/check_profile_schema.py \
+python3 scripts/check_schema.py profile \
   --emit-with "$BUILD"/tools/svsim --output-dir "$BUILD"
 for artifact in profile_blocked.json profile_dist.json; do
   [ -s "$BUILD/$artifact" ] || {
@@ -121,7 +121,7 @@ done
 
 mkdir -p bench/baselines
 "$BUILD"/tools/svsim_bench --smoke --no-tables --json bench/baselines/smoke.json
-python3 scripts/check_bench_schema.py --json bench/baselines/smoke.json
+python3 scripts/check_schema.py bench --json bench/baselines/smoke.json
 
 # Gate an unmodified re-run against the baseline we just wrote. The margin is
 # wide because run-to-run drift on shared/virtualized hosts reaches tens of

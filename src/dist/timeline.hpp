@@ -43,7 +43,7 @@ namespace svsim::dist {
 enum class TimelineEventKind : std::uint8_t { Compute, Wire, Wait };
 
 /// Stable lowercase name ("compute", "wire", "wait") — the vocabulary of
-/// the timeline JSON schema (scripts/check_timeline_schema.py).
+/// the timeline JSON schema (`scripts/check_schema.py timeline`).
 inline const char* timeline_event_kind_name(TimelineEventKind kind) {
   switch (kind) {
     case TimelineEventKind::Compute: return "compute";

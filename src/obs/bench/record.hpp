@@ -6,7 +6,7 @@
 // emitted two ways: one JSONL line per benchmark case (append-friendly,
 // stream-processable) and one aggregate `BENCH_results.json` keyed by
 // record ID (what `scripts/bench_compare.py` diffs against a baseline).
-// `scripts/check_bench_schema.py` validates both renderings in ctest.
+// `scripts/check_schema.py bench` validates both renderings in ctest.
 #pragma once
 
 #include <iosfwd>

@@ -146,7 +146,7 @@ Table whatif_table(const std::vector<WhatIfResult>& results);
 
 /// The timeline.json artifact (version 1): plan/provenance block, per-rank
 /// event lists, critical path with attribution, and what-if results.
-/// scripts/check_timeline_schema.py validates this shape.
+/// `scripts/check_schema.py timeline` validates this shape.
 void write_timeline_json(const dist::Timeline& timeline,
                          const CriticalPath& path,
                          const std::vector<WhatIfResult>& whatif,

@@ -13,7 +13,7 @@
 // the same artifact that would show its symptoms.
 //
 // The JSON artifact (`write_profile_json`) is the stable interface:
-// scripts/check_profile_schema.py validates it and CI uploads one from the
+// `scripts/check_schema.py profile` validates it and CI uploads one from the
 // smoke tier. The join lives in perf, not obs, because it needs sv (plans),
 // machine (roofline), and this module's cost model — all above obs in the
 // layering.
@@ -131,7 +131,7 @@ ProfileReport build_profile_report(const obs::RunProfile& run,
                                    const ExecutionContext& ctx =
                                        ExecutionContext::global());
 
-/// The profile.json artifact (scripts/check_profile_schema.py validates).
+/// The profile.json artifact (`scripts/check_schema.py profile` validates).
 void write_profile_json(const ProfileReport& report, std::ostream& os);
 
 /// Env block: machine, threads, widths, cache-budget cross-check.

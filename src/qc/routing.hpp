@@ -4,8 +4,7 @@
 // qubit pairs may interact. `route_linear` rewrites a circuit so every
 // multi-qubit gate acts on adjacent physical qubits of a linear chain,
 // inserting SWAPs and tracking the logical->physical mapping as it drifts.
-// Gates wider than two qubits must be decomposed first
-// (decompose_to_cx_basis); the router rejects them.
+// The router rejects gates wider than two qubits.
 #pragma once
 
 #include <vector>

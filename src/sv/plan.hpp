@@ -212,7 +212,7 @@ ExecutionPlan compile_plan(const qc::Circuit& circuit,
                            const PlanOptions& options);
 
 /// Serializes a plan as the --dump-plan JSON document
-/// (scripts/check_plan_schema.py validates this shape).
+/// (`scripts/check_schema.py plan` validates this shape).
 void write_plan_json(const ExecutionPlan& plan, std::ostream& os);
 
 }  // namespace svsim::sv

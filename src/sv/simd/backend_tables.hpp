@@ -41,7 +41,6 @@ inline void for_run_vectors(std::complex<T>* psi, unsigned t,
       });
 }
 
-const KernelOverrides& generic_overrides();
 const KernelOverrides& avx2_overrides();
 const KernelOverrides& neon_overrides();
 const KernelOverrides& sve_overrides();

@@ -40,7 +40,6 @@ struct Entry {
 const detail::KernelOverrides& overrides_for(Isa isa) {
   static const detail::KernelOverrides none{};
   switch (isa) {
-    case Isa::Generic: return detail::generic_overrides();
     case Isa::Avx2: return detail::avx2_overrides();
     case Isa::Neon: return detail::neon_overrides();
     case Isa::Sve: return detail::sve_overrides();
@@ -52,8 +51,7 @@ const detail::KernelOverrides& overrides_for(Isa isa) {
 bool cpu_supports(Isa isa) {
   const machine::CpuFeatures& f = machine::cpu_features();
   switch (isa) {
-    case Isa::Scalar:
-    case Isa::Generic: return true;
+    case Isa::Scalar: return true;
     case Isa::Avx2: return f.avx2 && f.fma;
     case Isa::Neon: return f.neon;
     case Isa::Sve: return f.sve;
@@ -127,7 +125,6 @@ bool parse_isa(std::string_view name, Isa& out) {
 const char* isa_name(Isa isa) {
   switch (isa) {
     case Isa::Scalar: return "scalar";
-    case Isa::Generic: return "generic";
     case Isa::Avx2: return "avx2";
     case Isa::Neon: return "neon";
     case Isa::Sve: return "sve";
@@ -153,7 +150,7 @@ std::vector<BackendInfo> backends() {
 
 Isa detect_isa() {
   const std::array<Entry, kNumIsas>& all = entries();
-  for (const Isa isa : {Isa::Sve, Isa::Avx2, Isa::Neon, Isa::Generic})
+  for (const Isa isa : {Isa::Sve, Isa::Avx2, Isa::Neon})
     if (all[static_cast<std::size_t>(isa)].available) return isa;
   return Isa::Scalar;
 }

@@ -41,11 +41,10 @@ class MetricsRegistry;
 
 namespace svsim::sv::simd {
 
-/// Instruction-set tiers, narrowest first. Generic uses compiler vector
-/// extensions (portable fixed-width vectors); Sve is vector-length
-/// agnostic ACLE behind a compile guard.
-enum class Isa : int { Scalar = 0, Generic, Avx2, Neon, Sve };
-inline constexpr std::size_t kNumIsas = 5;
+/// Instruction-set tiers, narrowest vector first (NEON 128-bit, AVX2
+/// 256-bit). Sve is vector-length agnostic ACLE behind a compile guard.
+enum class Isa : int { Scalar = 0, Neon, Avx2, Sve };
+inline constexpr std::size_t kNumIsas = 4;
 
 const char* isa_name(Isa isa);
 
@@ -69,7 +68,7 @@ struct BackendInfo {
 std::vector<BackendInfo> backends();
 
 /// Widest available ISA on the executing CPU (Sve > Avx2 > Neon >
-/// Generic; Generic and Scalar are always available).
+/// Scalar; Scalar is always available).
 Isa detect_isa();
 
 /// The backend kernels currently dispatch through. Forces default

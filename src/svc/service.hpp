@@ -19,7 +19,7 @@
 // N executor threads against the shared PlanCache, each under its own
 // ExecutionContext (private ThreadPool slice, shared metrics registry); a
 // writer thread serializes result lines. docs/SERVICE.md specifies the
-// schema; scripts/check_service_schema.py validates a captured session.
+// schema; `scripts/check_schema.py service` validates a captured session.
 #pragma once
 
 #include <atomic>

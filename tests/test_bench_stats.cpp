@@ -84,7 +84,10 @@ TEST(Measure, RespectsMinAndMaxReps) {
   StatConfig cfg;
   cfg.min_reps = 4;
   cfg.max_reps = 6;
-  cfg.target_rel_ci = 1e-12;  // unreachable: forces the rep cap
+  // rel_ci95 is never negative, so this target is unreachable and forces
+  // the rep cap. A tiny positive target is not: an empty callable often
+  // times identically every rep, which gives rel_ci95 == 0.
+  cfg.target_rel_ci = -1.0;
   cfg.max_seconds = 60.0;
   int calls = 0;
   const SampleStats st = measure([&] { ++calls; }, cfg);

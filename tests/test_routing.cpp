@@ -5,7 +5,6 @@
 #include "common/error.hpp"
 #include "qc/dense.hpp"
 #include "qc/library.hpp"
-#include "qc/transpile.hpp"
 #include "sv/simulator.hpp"
 
 namespace svsim::qc {
@@ -55,14 +54,6 @@ TEST(Routing, SemanticsOnRandomCircuits) {
   for (std::uint64_t seed : {2ull, 9ull, 17ull}) {
     check_routing_semantics(random_clifford_t(5, 40, seed));
   }
-}
-
-TEST(Routing, SemanticsAfterBasisDecomposition) {
-  // 3-qubit gates must be decomposed first; the combined pipeline routes.
-  Circuit c(4);
-  c.h(0).ccx(0, 2, 3).swap(0, 3).cswap(1, 0, 3);
-  const Circuit decomposed = decompose_to_cx_basis(c);
-  check_routing_semantics(decomposed);
 }
 
 TEST(Routing, RejectsWideGates) {

@@ -1,6 +1,6 @@
 // svsim — command-line front-end.
 //
-//   svsim run <circuit.qasm> [--shots N] [--backend sv|sv32|stab]
+//   svsim run <circuit.qasm> [--shots N] [--backend sv|stab]
 //             [--fusion W] [--blocked] [--block-qubits B] [--seed S]
 //             [--trace-json FILE] [--trace] [--metrics] [--counters]
 //             [--profile FILE]
@@ -21,8 +21,6 @@
 //             [--block-qubits B] [--machine NAME] [--threads T]
 //             [--net tofu|edr] [--straggler NODE] [--slowdown X]
 //             [--json FILE] [--trace-json FILE] [--metrics]
-//   svsim transpile <circuit.qasm> [--optimize] [--basis-cx]
-//             [--route-linear]
 //   svsim serve [--jobs FILE] [--out FILE] [--machine NAME]
 //             [--cache-bytes B] [--max-seconds S] [--threads T] [--metrics]
 //   svsim machines
@@ -33,18 +31,18 @@
 // prints the modeled-vs-measured comparison per phase and kernel); `plan`
 // compiles the circuit into the ExecutionPlan IR (single-node, or
 // distributed over --ranks R) and prints the phase
-// summary, optionally dumping the plan JSON for scripts/check_plan_schema.py
+// summary, optionally dumping the plan JSON for `scripts/check_schema.py plan`
 // (`--timeline FILE` also records the makespan timeline artifact);
 // `profile` executes the compiled plan with the phase profiler riding
 // sv::run_plan and prints/writes the measured-vs-modeled ProfileReport
-// (scripts/check_profile_schema.py validates the --json artifact);
+// (`scripts/check_schema.py profile` validates the --json artifact);
 // `timeline` records the event-driven makespan simulation per rank, prints
 // the critical-path attribution and what-if sensitivity, and writes the
-// timeline JSON artifact (scripts/check_timeline_schema.py validates it)
-// plus a multi-lane Chrome trace; `transpile` prints the rewritten circuit
-// as OpenQASM; `serve` runs the compile-once serve-many job loop — one JSON
-// job per input line, one JSON result line per job plus a summary line
-// (docs/SERVICE.md specifies the schema, scripts/check_service_schema.py
+// timeline JSON artifact (`scripts/check_schema.py timeline` validates it)
+// plus a multi-lane Chrome trace; `serve` runs the compile-once serve-many
+// job loop — one JSON job per input line, one JSON result line per job
+// plus a summary line
+// (docs/SERVICE.md specifies the schema, `scripts/check_schema.py service`
 // validates a captured session).
 #include <cstdlib>
 #include <cstring>
@@ -73,8 +71,6 @@
 #include "sv/engine.hpp"
 #include "qc/library.hpp"
 #include "qc/qasm.hpp"
-#include "qc/routing.hpp"
-#include "qc/transpile.hpp"
 #include "stab/stabilizer.hpp"
 #include "sv/plan.hpp"
 #include "sv/simd/simd.hpp"
@@ -99,11 +95,11 @@ struct OptionSpec {
 
 constexpr OptionSpec kOptionSpecs[] = {
     {"shots", true, false, "number of measurement shots (run)"},
-    {"backend", true, false, "sv | sv32 | stab (run)"},
+    {"backend", true, false, "sv | stab (run)"},
     {"precision", true, false,
      "f64 | f32 amplitude precision (run/plan/profile/serve)"},
     {"simd", true, false,
-     "force the kernel backend: scalar|generic|avx2|neon|sve (default: "
+     "force the kernel backend: scalar|avx2|neon|sve (default: "
      "SVSIM_SIMD or runtime CPU detection)"},
     {"fusion", true, false, "enable gate fusion with max width W"},
     {"blocked", false, false, "cache-blocked sweep execution (run)"},
@@ -140,9 +136,6 @@ constexpr OptionSpec kOptionSpecs[] = {
     {"cache-bytes", true, false, "plan-cache byte budget (serve)"},
     {"max-seconds", true, false,
      "admission ceiling on modeled compute seconds per job (serve)"},
-    {"optimize", false, false, "run the gate-level optimizer (transpile)"},
-    {"basis-cx", false, false, "decompose to the CX basis (transpile)"},
-    {"route-linear", false, false, "route for linear connectivity (transpile)"},
 };
 
 const OptionSpec* find_option(const std::string& name) {
@@ -200,9 +193,7 @@ machine::MachineSpec machine_by_name(const std::string& name) {
               "host)");
 }
 
-/// --precision: amplitude scalar size in bytes (f64 default). `run` also
-/// honors the legacy `--backend sv32` spelling; both reach the same
-/// Simulator<float> path.
+/// --precision: amplitude scalar size in bytes (f64 default).
 unsigned element_bytes_from_args(const Args& args) {
   const std::string p = args.get("precision", "f64");
   if (p == "f64") return 8;
@@ -330,6 +321,18 @@ void print_profile_report(const perf::ProfileReport& report) {
                  "marked partial\n";
 }
 
+/// Prints one `label : count` row per key, the label MSB-first over
+/// `label_width` classical bits.
+void print_counts(const std::map<std::uint64_t, std::size_t>& counts,
+                  unsigned label_width) {
+  for (const auto& [bits, count] : counts) {
+    std::string label;
+    for (unsigned b = label_width; b-- > 0;)
+      label += ((bits >> b) & 1) ? '1' : '0';
+    std::cout << label << " : " << count << "\n";
+  }
+}
+
 int cmd_run(const Args& args) {
   qc::Circuit circuit = load_circuit(args);
   const auto shots =
@@ -337,22 +340,25 @@ int cmd_run(const Args& args) {
   const std::string backend = args.get("backend", "sv");
 
   if (backend == "stab") {
+    // The same split as the sv path: prepare the unitary part once, then
+    // each shot measures a copy of the tableau into the circuit's cbits.
+    const sv::ShotSplit split = sv::split_shots(circuit, {});
+    require(split.mode == sv::ShotMode::Sampled,
+            "--backend stab needs every measurement at the end (the "
+            "circuit has a mid-circuit measure or a reset)");
+    require(split.label_width <= 64,
+            "--backend stab counts at most 64 classical bits");
+    const stab::StabilizerState prepared = stab::run_clifford(split.circuit);
     Xoshiro256 rng(std::stoull(args.get("seed", "1")));
     std::map<std::uint64_t, std::size_t> counts;
-    // Strip measures; stabilizer measures every qubit per shot.
-    qc::Circuit unitary(circuit.num_qubits());
-    for (const auto& g : circuit.gates())
-      if (g.is_unitary_op() && g.kind != qc::GateKind::BARRIER)
-        unitary.append(g);
     for (std::size_t s = 0; s < shots; ++s) {
-      stab::StabilizerState state = stab::run_clifford(unitary);
+      stab::StabilizerState state = prepared;
       std::uint64_t key = 0;
-      for (unsigned q = 0; q < circuit.num_qubits(); ++q)
-        if (state.measure(q, rng)) key |= std::uint64_t{1} << q;
+      for (const auto& [q, c] : split.measures)
+        if (state.measure(q, rng)) key = set_bit(key, c);
       ++counts[key];
     }
-    for (const auto& [bits, count] : counts)
-      std::cout << bits << " : " << count << "\n";
+    print_counts(counts, split.label_width);
     return 0;
   }
 
@@ -370,14 +376,6 @@ int cmd_run(const Args& args) {
   }
   const unsigned label_width =
       sv::split_shots(circuit, opts.noise).label_width;
-  auto print_counts = [&](const auto& counts) {
-    for (const auto& [bits, count] : counts) {
-      std::string label;
-      for (unsigned b = label_width; b-- > 0;)
-        label += ((bits >> b) & 1) ? '1' : '0';
-      std::cout << label << " : " << count << "\n";
-    }
-  };
 
   const bool want_trace =
       args.flag("trace") || args.flag("trace-json");
@@ -404,11 +402,10 @@ int cmd_run(const Args& args) {
     capture.emplace();
   }
 
-  require(backend == "sv" || backend == "sv32",
-          "unknown backend '" + backend + "' (sv, sv32, stab)");
-  const bool f32 = backend == "sv32" || element_bytes_from_args(args) == 4;
+  require(backend == "sv", "unknown backend '" + backend + "' (sv, stab)");
+  const bool f32 = element_bytes_from_args(args) == 4;
   auto run_counts = [&](auto& sim) {
-    print_counts(sim.sample_counts(circuit, shots));
+    print_counts(sim.sample_counts(circuit, shots), label_width);
     // Batched trajectories record no plan phases: profile one trajectory.
     if (profiler && profiler->runs().empty()) sim.run(circuit);
   };
@@ -750,19 +747,6 @@ int cmd_timeline(const Args& args) {
   return 0;
 }
 
-int cmd_transpile(const Args& args) {
-  qc::Circuit circuit = load_circuit(args);
-  if (args.flag("basis-cx")) circuit = qc::decompose_to_cx_basis(circuit);
-  if (args.flag("optimize")) circuit = qc::optimize(circuit);
-  if (args.flag("route-linear")) {
-    const auto routed = qc::route_linear(circuit);
-    std::cerr << "inserted " << routed.swaps_inserted << " swaps\n";
-    circuit = routed.circuit;
-  }
-  std::cout << qc::to_qasm(circuit);
-  return 0;
-}
-
 int cmd_serve(const Args& args) {
   svc::ServiceOptions opts;
   opts.machine = machine_by_name(args.get("machine", "a64fx"));
@@ -841,10 +825,10 @@ int cmd_machines() {
 void usage() {
   std::cerr <<
       "usage: svsim <command> [args]\n"
-      "(every command also accepts --simd scalar|generic|avx2|neon|sve to\n"
+      "(every command also accepts --simd scalar|avx2|neon|sve to\n"
       " force the kernel backend, and run/plan/profile/serve accept\n"
       " --precision f64|f32 for the amplitude precision)\n"
-      "  run <file.qasm|--qft N|--qv N D> [--shots N] [--backend sv|sv32|stab]\n"
+      "  run <file.qasm|--qft N|--qv N D> [--shots N] [--backend sv|stab]\n"
       "      [--fusion W] [--blocked] [--block-qubits B] [--seed S]\n"
       "      [--trace-json FILE] [--trace] [--metrics] [--counters]\n"
       "  project <file.qasm|--qft N|--qv N D> [--machine NAME] [--threads T]\n"
@@ -860,7 +844,6 @@ void usage() {
       "      [--fusion W] [--blocked] [--block-qubits B] [--machine NAME]\n"
       "      [--threads T] [--net tofu|edr] [--straggler NODE] [--slowdown X]\n"
       "      [--json FILE] [--trace-json FILE] [--metrics]\n"
-      "  transpile <file.qasm|--qft N> [--optimize] [--basis-cx] [--route-linear]\n"
       "  serve [--jobs FILE] [--out FILE] [--machine NAME] [--cache-bytes B]\n"
       "      [--max-seconds S] [--threads T (T serve workers)]\n"
       "      [--precision f64|f32] [--metrics]\n"
@@ -885,14 +868,13 @@ int main(int argc, char** argv) {
       require(sv::simd::select_backend(name),
               "SIMD backend '" + name +
                   "' is not available on this CPU/build (see `svsim "
-                  "machines`; scalar and generic always are)");
+                  "machines`; scalar always is)");
     }
     if (cmd == "run") return cmd_run(args);
     if (cmd == "project") return cmd_project(args);
     if (cmd == "plan") return cmd_plan(args);
     if (cmd == "profile") return cmd_profile(args);
     if (cmd == "timeline") return cmd_timeline(args);
-    if (cmd == "transpile") return cmd_transpile(args);
     if (cmd == "serve") return cmd_serve(args);
     if (cmd == "machines") return cmd_machines();
     usage();
