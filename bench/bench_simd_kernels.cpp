@@ -8,6 +8,7 @@
 // by the target factor.
 #include "bench_util.hpp"
 
+#include <complex>
 #include <map>
 
 #include "common/rng.hpp"
@@ -26,7 +27,9 @@ struct ClassCase {
 
 /// Low targets on purpose: t < lanes is where the in-register swizzle
 /// kernels earn their keep and where `-march=native` auto-vectorization of
-/// the scalar loops fails (runs shorter than a vector).
+/// the scalar loops fails (runs shorter than a vector). The gather classes
+/// (McPhase, DiagK, MatrixK) sit on the operands a fused QFT or QV gate
+/// has; GB/s counts the whole state, which McPhase only a quarter touches.
 std::vector<ClassCase> class_cases() {
   Xoshiro256 rng(7);
   return {
@@ -34,6 +37,17 @@ std::vector<ClassCase> class_cases() {
       {"diag1", qc::Gate::rz(0, 1.13)},
       {"matrix1", qc::Gate::u(0, 0.3, 0.7, 1.9)},
       {"matrix2", qc::Gate::u2q(2, 5, qc::Matrix::random_unitary(4, rng))},
+      {"mcphase", qc::Gate::cp(2, 9, 0.7)},
+      {"diagk", qc::Gate::diag({2, 7, 11}, {std::polar(1.0, 0.1),
+                                            std::polar(1.0, 0.9),
+                                            std::polar(1.0, 1.7),
+                                            std::polar(1.0, 2.5),
+                                            std::polar(1.0, 3.3),
+                                            std::polar(1.0, 4.1),
+                                            std::polar(1.0, 4.9),
+                                            std::polar(1.0, 5.7)})},
+      {"matrixk",
+       qc::Gate::unitary({2, 7, 11}, qc::Matrix::random_unitary(8, rng))},
   };
 }
 

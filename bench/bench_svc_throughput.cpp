@@ -125,7 +125,7 @@ SVSIM_BENCH(svc_throughput, "Service throughput",
   {
     svc::Service service{svc::ServiceOptions{}};
     service.run_job(sampled);  // prime the shared cache once
-    const std::size_t jobs_per_round = ctx.smoke() ? 16 : 64;
+    const std::size_t jobs_per_round = ctx.smoke() ? 256 : 64;
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
 
     Table wt("Warm sampled submissions through W concurrent workers",

@@ -8,6 +8,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "qc/dense.hpp"
+#include "sv/kernels.hpp"
 
 namespace svsim::sv {
 
@@ -20,30 +21,65 @@ using qc::Matrix;
 using qc::cplx;
 
 /// A pending fusion group: gates plus their combined support, in first-seen
-/// order (which becomes the local bit order of the fused matrix).
+/// order (which becomes the local bit order of the fused gate), whether
+/// every gate is diagonal, the product diagonal on the support when it is,
+/// and the price of the gate flush() emits for it.
 struct Group {
   std::vector<Gate> gates;
   std::vector<unsigned> support;
+  bool diagonal = false;
+  std::vector<cplx> entries;
+  double price = 0.0;
 
   bool empty() const { return gates.empty(); }
 
-  /// Local index of qubit q within the support, adding it if new.
-  unsigned local(unsigned q) {
-    for (unsigned i = 0; i < support.size(); ++i)
-      if (support[i] == q) return i;
-    support.push_back(q);
-    return static_cast<unsigned>(support.size() - 1);
-  }
-
-  /// Support size if `g` joined.
-  std::size_t width_with(const Gate& g) const {
-    std::size_t extra = 0;
+  /// The support if `g` joined: the group's, then g's new qubits.
+  std::vector<unsigned> support_with(const Gate& g) const {
+    std::vector<unsigned> wider = support;
     for (unsigned q : g.qubits)
-      if (std::find(support.begin(), support.end(), q) == support.end())
-        ++extra;
-    return support.size() + extra;
+      if (std::find(wider.begin(), wider.end(), q) == wider.end())
+        wider.push_back(q);
+    return wider;
   }
 };
+
+/// Price of a gate as prepared for its kernel (sv::kernel_price).
+double gate_price(const Gate& g) {
+  return kernel_price(prepare_gate<double>(g));
+}
+
+/// Price of a dense UNITARY on k qubits: the class of its width, every
+/// amplitude, 2^k multiplies each. It does not depend on the matrix, so a
+/// candidate merge is priced before its unitary is built.
+double dense_price(std::size_t width) {
+  const auto k = static_cast<unsigned>(width);
+  return kernel_price(unitary_class(k), k, static_cast<unsigned>(pow2(k)));
+}
+
+/// Diagonal of a diagonal gate (qubits[0] = LSB of the index).
+std::vector<cplx> gate_diagonal(const Gate& g) {
+  if (g.kind == GateKind::DIAG) return g.diagonal_entries();
+  const Matrix m = g.matrix();
+  std::vector<cplx> d(m.dim());
+  for (std::size_t i = 0; i < d.size(); ++i) d[i] = m(i, i);
+  return d;
+}
+
+/// `entries` (a diagonal on a prefix of `wider`) times g's diagonal, as a
+/// diagonal on `wider`.
+std::vector<cplx> times_diagonal(const std::vector<cplx>& entries,
+                                 const std::vector<unsigned>& wider,
+                                 const Gate& g) {
+  std::vector<unsigned> pos;
+  for (unsigned q : g.qubits)
+    pos.push_back(static_cast<unsigned>(
+        std::find(wider.begin(), wider.end(), q) - wider.begin()));
+  const std::vector<cplx> d = gate_diagonal(g);
+  std::vector<cplx> out(pow2(static_cast<unsigned>(wider.size())));
+  for (std::uint64_t i = 0; i < out.size(); ++i)
+    out[i] = entries[i & (entries.size() - 1)] * d[gather_bits(i, pos)];
+  return out;
+}
 
 /// Computes the fused unitary of a group: product of its gates embedded on
 /// the group support, column by column via the dense reference (the group is
@@ -75,11 +111,6 @@ Matrix group_unitary(const Group& group) {
   return u;
 }
 
-bool all_diagonal(const Group& group) {
-  return std::all_of(group.gates.begin(), group.gates.end(),
-                     [](const Gate& g) { return g.is_diagonal(); });
-}
-
 /// Publishes the width of one emitted multi-gate block (1..6 qubits).
 /// Handles resolve per call against the options' registry — caching them
 /// in statics would pin whichever registry was seen first.
@@ -97,14 +128,14 @@ void flush(Group& group, Circuit& out, const FusionOptions& options) {
   if (group.empty()) return;
   if (group.gates.size() == 1) {
     out.append(group.gates.front());
-  } else if (options.prefer_diagonal && all_diagonal(group)) {
-    const Matrix u = group_unitary(group);
-    std::vector<cplx> diag(u.dim());
-    for (std::size_t i = 0; i < u.dim(); ++i) diag[i] = u(i, i);
-    out.append(Gate::diag(group.support, std::move(diag)));
-    observe_block_width(options, group.support.size(), group.gates.size());
   } else {
-    out.append(Gate::unitary(group.support, group_unitary(group)));
+    if (!group.diagonal)
+      out.append(Gate::unitary(group.support, group_unitary(group)));
+    else if (options.prefer_diagonal)
+      out.append(Gate::diag(group.support, std::move(group.entries)));
+    else
+      out.append(
+          Gate::unitary(group.support, Matrix::diagonal(group.entries)));
     observe_block_width(options, group.support.size(), group.gates.size());
   }
   group = Group{};
@@ -121,8 +152,7 @@ Circuit fuse(const Circuit& circuit, const FusionOptions& options) {
   for (const auto& g : circuit.gates()) {
     if (!g.is_unitary_op() || g.kind == GateKind::I) {
       flush(group, out, options);
-      if (g.kind != GateKind::BARRIER && g.kind != GateKind::I) out.append(g);
-      if (g.kind == GateKind::BARRIER) out.append(g);
+      if (g.kind != GateKind::I) out.append(g);
       continue;
     }
     if (g.num_qubits() > options.max_width) {
@@ -131,9 +161,37 @@ Circuit fuse(const Circuit& circuit, const FusionOptions& options) {
       out.append(g);
       continue;
     }
-    if (group.width_with(g) > options.max_width) flush(group, out, options);
-    for (unsigned q : g.qubits) group.local(q);
-    group.gates.push_back(g);
+    const double price = gate_price(g);
+    const bool diagonal = g.is_diagonal();
+    // g joins when the group stays within the width cap and the merged
+    // gate is cheaper than the group and g apart. A non-diagonal gate ends
+    // a diagonal group rather than densifying it.
+    if (!group.empty() && !(group.diagonal && !diagonal)) {
+      std::vector<unsigned> wider = group.support_with(g);
+      if (wider.size() <= options.max_width) {
+        std::vector<cplx> entries;
+        double merged = 0.0;
+        if (group.diagonal) {
+          entries = times_diagonal(group.entries, wider, g);
+          merged = gate_price(Gate::diag(wider, entries));
+        } else {
+          merged = dense_price(wider.size());
+        }
+        if (merged < group.price + price) {
+          group.gates.push_back(g);
+          group.support = std::move(wider);
+          group.entries = std::move(entries);
+          group.price = merged;
+          continue;
+        }
+      }
+    }
+    flush(group, out, options);
+    group.gates = {g};
+    group.support = g.qubits;
+    group.diagonal = diagonal;
+    if (diagonal) group.entries = gate_diagonal(g);
+    group.price = price;
   }
   flush(group, out, options);
   return out;

@@ -86,14 +86,44 @@ KernelClass classify_gate(const Gate& g) {
     case GateKind::DIAG:
       return KernelClass::DiagK;
     case GateKind::UNITARY:
-      if (g.num_qubits() == 1) return KernelClass::Matrix1;
-      if (g.num_qubits() == 2) return KernelClass::Matrix2;
-      return KernelClass::MatrixK;
+      return unitary_class(g.num_qubits());
     case GateKind::MEASURE:
     case GateKind::RESET:
       return KernelClass::Unsupported;
   }
   return KernelClass::Unsupported;
+}
+
+KernelClass unitary_class(unsigned k) {
+  if (k == 1) return KernelClass::Matrix1;
+  if (k == 2) return KernelClass::Matrix2;
+  return KernelClass::MatrixK;
+}
+
+double kernel_price(KernelClass cls, unsigned counter_bits,
+                    unsigned counter_amps, double active) {
+  double multiplies = 1.0;
+  switch (cls) {
+    case KernelClass::Nop:
+      return 0.0;
+    case KernelClass::PermX:
+    case KernelClass::PermY:
+    case KernelClass::PermSwap:
+    case KernelClass::Mcx:
+      multiplies = 0.0;
+      break;
+    case KernelClass::Matrix1:
+    case KernelClass::CtrlMatrix1:
+    case KernelClass::Matrix2:
+    case KernelClass::MatrixK:
+      multiplies = counter_amps;
+      break;
+    default:
+      break;
+  }
+  const double touched =
+      counter_amps / static_cast<double>(pow2(counter_bits)) * active;
+  return touched * (multiplies + 1.0);
 }
 
 namespace {

@@ -162,6 +162,35 @@ struct PreparedGate {
   std::vector<std::uint64_t> offs;  ///< MatrixK sub-index scatter offsets
 };
 
+/// Kernel class of a dense UNITARY payload on k qubits.
+KernelClass unitary_class(unsigned k);
+
+/// Work price of one application of a class over a whole state, per state
+/// amplitude: the share of amplitudes it touches (counter_amps per 2^
+/// counter_bits, times the `active` share its kernel does not skip) times
+/// the complex multiplies per touched amplitude plus one for streaming it.
+/// The multiplies are the row length counter_amps for the dense classes,
+/// one for the diagonal and phase classes and Hadamard, and none for the
+/// permutations; Nop is free. Fusion keeps a merge only when it lowers the
+/// summed price (sv/fusion.hpp).
+double kernel_price(KernelClass cls, unsigned counter_bits,
+                    unsigned counter_amps, double active = 1.0);
+
+/// The price of a prepared gate. A DiagK kernel may skip the amplitudes
+/// whose coefficient is exactly one (a fused run of controlled phases is
+/// one on most of the state), so only the others count.
+template <typename T>
+double kernel_price(const PreparedGate<T>& pg) {
+  double active = 1.0;
+  if (pg.cls == KernelClass::DiagK) {
+    const auto ones = std::count(pg.coeff.begin(), pg.coeff.end(),
+                                 std::complex<T>{T{1}, T{0}});
+    active = 1.0 - static_cast<double>(ones) /
+                       static_cast<double>(pg.coeff.size());
+  }
+  return kernel_price(pg.cls, pg.counter_bits, pg.counter_amps, active);
+}
+
 /// MatrixK width limit: the entry's fixed stack scratch of 2^10 amplitudes.
 inline constexpr unsigned kMaxMatrixK = 10;
 

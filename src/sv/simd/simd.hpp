@@ -4,8 +4,9 @@
 //
 // Each backend is a full 16-entry KernelClass table per precision, built
 // from the portable scalar reference (`sv::kernel_table`) with the
-// hand-vectorized hot entries (Hadamard, Diag1, Matrix1, Matrix2)
-// substituted where the backend provides them. Every gate application —
+// hand-vectorized hot entries (Hadamard, Diag1, Matrix1, Matrix2; on AVX2
+// also McPhase, DiagK and MatrixK) substituted where the backend provides
+// them. Every gate application —
 // `apply_range` from the blocked engine, `apply_prepared` from `apply_gate`,
 // DenseGate and Exchange phases, the batch executor and the noise channels —
 // dispatches through `sv::active_kernel_table<T>()` (declared in

@@ -45,7 +45,7 @@ struct ServiceOptions {
   /// admission. Owned by value: jobs may outlive any caller-held spec.
   machine::MachineSpec machine = machine::MachineSpec::a64fx();
   /// Plan-cache byte budget (LRU evicts beyond it).
-  std::uint64_t cache_bytes = 64ull << 20;
+  std::uint64_t cache_bytes = 16ull << 20;
   /// Admission ceiling on the modeled compute time of one job
   /// (cost.compute_seconds x trajectory executions); 0 = admit everything.
   double max_modeled_seconds = 0.0;
