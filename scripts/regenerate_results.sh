@@ -60,6 +60,15 @@ for id in svc_throughput.sampled.cold.s svc_throughput.sampled.warm.s \
   grep -q "\"$id\"" BENCH_results.json || {
     echo "missing service-throughput record: $id" >&2; exit 1; }
 done
+# The readout stage of a sampled job (docs/ARCHITECTURE.md "Readout") must
+# record each of its four steps and their sum at both widths.
+for n in 10 16; do
+  for step in sample count label serialize total; do
+    id="readout.n$n.$step.s"
+    grep -q "\"$id\"" BENCH_results.json || {
+      echo "missing readout record: $id" >&2; exit 1; }
+  done
+done
 # The 4-worker scaling ratio only means something when the host can actually
 # run 4 executors concurrently; on smaller machines the pool slices all
 # degrade to one thread and the sweep merely must have run (checked above).

@@ -9,6 +9,7 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "common/error.hpp"
@@ -83,6 +84,29 @@ class AlignedBuffer {
 
   T* data_ = nullptr;
   std::size_t size_ = 0;
+};
+
+/// Grow-only page-aligned storage that a long-lived owner lends to one
+/// short-lived user at a time (a serve worker's state vector, job after
+/// job). Pages it already holds stay mapped, so a reuse faults none in.
+class LentBuffer {
+ public:
+  static constexpr std::size_t kAlignment = 4096;
+
+  /// At least `bytes` bytes aligned to kAlignment; contents unspecified.
+  /// Reallocates (dropping the old contents) only to grow.
+  void* acquire(std::size_t bytes) {
+    if (buf_.size() < bytes) {
+      buf_ = AlignedBuffer<std::byte>();  // free before allocating
+      buf_ = AlignedBuffer<std::byte>(bytes, kAlignment);
+    }
+    return buf_.data();
+  }
+
+  std::size_t capacity() const noexcept { return buf_.size(); }
+
+ private:
+  AlignedBuffer<std::byte> buf_;
 };
 
 }  // namespace svsim

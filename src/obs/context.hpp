@@ -2,6 +2,7 @@
 
 #include <cstdint>
 
+#include "common/aligned_buffer.hpp"
 #include "common/threading.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
@@ -40,6 +41,11 @@ struct ContextConfig {
 ///   ctx.with_metrics(my_metrics).with_pool(my_pool);
 ///   sv::run_plan(state, plan, {}, ctx);   // counters land in my_metrics
 ///
+/// A context may also lend a state buffer: Simulator::run_shots builds its
+/// sampled-mode state there instead of allocating one, so a serve worker
+/// reuses the same pages job after job. A context with a buffer serves one
+/// run at a time (copies share the buffer).
+///
 /// Contexts are cheap value types (a few pointers); they do not own the
 /// services they reference. The caller keeps registries and pools alive for
 /// as long as any context pointing at them is in use. Resolution happens at
@@ -76,6 +82,9 @@ class ExecutionContext {
 
   const ContextConfig& config() const noexcept { return config_; }
 
+  /// Buffer a sampled run builds its state in, or nullptr (allocate).
+  LentBuffer* state_buffer() const noexcept { return state_buffer_; }
+
   ExecutionContext& with_metrics(obs::MetricsRegistry& registry) noexcept {
     metrics_ = &registry;
     return *this;
@@ -97,6 +106,10 @@ class ExecutionContext {
     config_ = config;
     return *this;
   }
+  ExecutionContext& with_state_buffer(LentBuffer& buffer) noexcept {
+    state_buffer_ = &buffer;
+    return *this;
+  }
 
   /// The process-default context: every service resolves to the singleton.
   static const ExecutionContext& global() noexcept;
@@ -107,6 +120,7 @@ class ExecutionContext {
   obs::Profiler* profiler_ = nullptr;
   bool follow_installed_profiler_ = true;
   ThreadPool* pool_ = nullptr;
+  LentBuffer* state_buffer_ = nullptr;
   ContextConfig config_;
 };
 

@@ -395,13 +395,11 @@ void matrix1_s(std::complex<float>* psi, const PreparedGate<float>& pg,
       scalar_pair);
 }
 
-void matrix2_s(std::complex<float>* psi, const PreparedGate<float>& pg,
-               std::uint64_t begin, std::uint64_t end) {
+/// Matrix2 with both operands above the vector (qubits >= 2): four
+/// unit-stride quad streams. matrix2_s below serves the other placements.
+void matrix2_runs_s(std::complex<float>* psi, const PreparedGate<float>& pg,
+                    std::uint64_t begin, std::uint64_t end) {
   const auto scalar = [&](std::uint64_t c) { m2_quad(psi, pg, c); };
-  if (pg.sorted[0] < 2) {
-    for (std::uint64_t c = begin; c < end; ++c) scalar(c);
-    return;
-  }
   CconstS m[16];
   for (std::size_t k = 0; k < 16; ++k) m[k] = cdup_s(pg.coeff[k]);
   const std::uint64_t b0 = pow2(pg.qubits[0]), b1 = pow2(pg.qubits[1]);
@@ -765,16 +763,18 @@ inline std::complex<T> cmac_fma(std::complex<T> acc, std::complex<T> a,
           std::fma(a.imag(), b.real(), std::fma(a.real(), b.imag(), acc.imag()))};
 }
 
-/// Scalar mirror of one MatrixK counter.
+/// Scalar mirror of one MatrixK counter; `offs` scatters the sub-indices
+/// (PreparedGate::offs for MatrixK).
 template <class A>
 void matrix_k_counter(std::complex<typename A::T>* psi,
-                      const PreparedGate<typename A::T>& pg, std::uint64_t c) {
+                      const PreparedGate<typename A::T>& pg,
+                      const std::uint64_t* offs, std::uint64_t c) {
   using T = typename A::T;
   const std::uint64_t sub = pow2(static_cast<unsigned>(pg.qubits.size()));
   const std::uint64_t low = gather_bits(A::kLanes - 1, pg.qubits);
   const std::uint64_t base = insert_zero_bits(c, pg.sorted);
   std::array<std::complex<T>, pow2(kMaxMatrixK)> in;
-  for (std::uint64_t s = 0; s < sub; ++s) in[s] = psi[base | pg.offs[s]];
+  for (std::uint64_t s = 0; s < sub; ++s) in[s] = psi[base | offs[s]];
   for (std::uint64_t r = 0; r < sub; ++r) {
     const std::complex<T>* row = pg.coeff.data() + r * sub;
     std::complex<T> acc;
@@ -789,7 +789,7 @@ void matrix_k_counter(std::complex<typename A::T>* psi,
         x = next_submask(x, low);
       } while (x != 0);
     }
-    psi[base | pg.offs[r]] = acc;
+    psi[base | offs[r]] = acc;
   }
 }
 
@@ -798,7 +798,8 @@ void matrix_k_counter(std::complex<typename A::T>* psi,
 /// input vectors times per-lane constants.
 template <class A, unsigned K, unsigned KL>
 void matrix_k_fixed(std::complex<typename A::T>* psi,
-                    const PreparedGate<typename A::T>& pg, std::uint64_t begin,
+                    const PreparedGate<typename A::T>& pg,
+                    const std::uint64_t* sub_offs, std::uint64_t begin,
                     std::uint64_t end) {
   using T = typename A::T;
   using V = typename A::V;
@@ -833,7 +834,7 @@ void matrix_k_fixed(std::complex<typename A::T>* psi,
         table[(si * kFlips + xi) * kVecs + ri] = {m.re, A::mul(m.im, sign)};
       }
   std::uint64_t offs[kVecs];
-  for (std::uint64_t i = 0; i < kVecs; ++i) offs[i] = pg.offs[his[i]];
+  for (std::uint64_t i = 0; i < kVecs; ++i) offs[i] = sub_offs[his[i]];
   for_gather_vectors<A>(
       pg.sorted, begin, end,
       [&](std::uint64_t base) {
@@ -854,7 +855,7 @@ void matrix_k_fixed(std::complex<typename A::T>* psi,
         for (std::uint64_t ri = 0; ri < kVecs; ++ri)
           A::store(psi + (base | offs[ri]), acc[ri]);
       },
-      [&](std::uint64_t c) { matrix_k_counter<A>(psi, pg, c); });
+      [&](std::uint64_t c) { matrix_k_counter<A>(psi, pg, sub_offs, c); });
 }
 
 /// MatrixK widths with a vector path (3 and 4); wider gates run the scalar
@@ -866,17 +867,34 @@ void matrix_k_v(std::complex<typename A::T>* psi,
   const auto k = static_cast<unsigned>(pg.qubits.size());
   unsigned kl = 0;
   for (unsigned q : pg.qubits) kl += q < A::kLaneBits ? 1 : 0;
+  const std::uint64_t* offs = pg.offs.data();
   switch (k * 4 + kl) {
-    case 12: return matrix_k_fixed<A, 3, 0>(psi, pg, begin, end);
-    case 13: return matrix_k_fixed<A, 3, 1>(psi, pg, begin, end);
-    case 14: return matrix_k_fixed<A, 3, 2>(psi, pg, begin, end);
-    case 16: return matrix_k_fixed<A, 4, 0>(psi, pg, begin, end);
-    case 17: return matrix_k_fixed<A, 4, 1>(psi, pg, begin, end);
-    case 18: return matrix_k_fixed<A, 4, 2>(psi, pg, begin, end);
+    case 12: return matrix_k_fixed<A, 3, 0>(psi, pg, offs, begin, end);
+    case 13: return matrix_k_fixed<A, 3, 1>(psi, pg, offs, begin, end);
+    case 14: return matrix_k_fixed<A, 3, 2>(psi, pg, offs, begin, end);
+    case 16: return matrix_k_fixed<A, 4, 0>(psi, pg, offs, begin, end);
+    case 17: return matrix_k_fixed<A, 4, 1>(psi, pg, offs, begin, end);
+    case 18: return matrix_k_fixed<A, 4, 2>(psi, pg, offs, begin, end);
     default:
       for (std::uint64_t c = begin; c < end; ++c)
-        matrix_k_counter<A>(psi, pg, c);
+        matrix_k_counter<A>(psi, pg, offs, c);
   }
+}
+
+/// f32 Matrix2. An operand inside the vector (qubit 0 or 1) runs the
+/// MatrixK lane path at k = 2 (lane masks and permutes, with its mirror);
+/// otherwise the unit-stride quad streams. f64 Matrix2 on qubit 0 stays on
+/// the scalar mirror.
+void matrix2_s(std::complex<float>* psi, const PreparedGate<float>& pg,
+               std::uint64_t begin, std::uint64_t end) {
+  if (pg.sorted[0] >= LanesS::kLaneBits)
+    return matrix2_runs_s(psi, pg, begin, end);
+  const std::uint64_t b0 = pow2(pg.qubits[0]), b1 = pow2(pg.qubits[1]);
+  const std::uint64_t offs[4] = {0, b0, b1, b0 | b1};
+  if (pg.sorted[1] < LanesS::kLaneBits)
+    matrix_k_fixed<LanesS, 2, 2>(psi, pg, offs, begin, end);
+  else
+    matrix_k_fixed<LanesS, 2, 1>(psi, pg, offs, begin, end);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "sv/simulator.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
@@ -224,6 +225,56 @@ ShotSplit split_shots(const qc::Circuit& circuit, const NoiseModel& noise,
   return split;
 }
 
+SortedCounts count_keys(std::vector<std::uint64_t> keys) {
+  // One byte per pass, up to the highest set bit of any key; a pass whose
+  // byte is equal in every key would move nothing and is skipped.
+  std::uint64_t any = 0;
+  for (std::uint64_t k : keys) any |= k;
+  std::vector<std::uint64_t> sorted(keys.size());
+  for (unsigned shift = 0; shift < 64 && (any >> shift) != 0; shift += 8) {
+    std::size_t at[256] = {};
+    for (std::uint64_t k : keys) ++at[(k >> shift) & 0xff];
+    if (at[(keys[0] >> shift) & 0xff] == keys.size()) continue;
+    std::size_t pos = 0;
+    for (std::size_t& a : at) pos += std::exchange(a, pos);
+    for (std::uint64_t k : keys) sorted[at[(k >> shift) & 0xff]++] = k;
+    keys.swap(sorted);
+  }
+  SortedCounts out;
+  out.reserve(std::min<std::uint64_t>(keys.size(), any + 1));
+  for (std::size_t i = 0, j = 0; i < keys.size(); i = j) {
+    while (j < keys.size() && keys[j] == keys[i]) ++j;
+    out.emplace_back(keys[i], j - i);
+  }
+  return out;
+}
+
+void read_out(std::vector<std::uint64_t>& samples,
+              const std::vector<std::pair<unsigned, unsigned>>& measures,
+              const NoiseModel& noise, Xoshiro256& rng) {
+  const bool readout = noise.has_readout_error();
+  std::uint64_t mask = 0;
+  bool in_place = !readout;
+  for (const auto& [q, c] : measures) {
+    in_place = in_place && q == c;
+    mask |= pow2(q);
+  }
+  if (in_place) {
+    // Every measure reads qubit q into bit q (QV, QFT, measure-free).
+    for (std::uint64_t& s : samples) s &= mask;
+    return;
+  }
+  for (std::uint64_t& s : samples) {
+    std::uint64_t key = 0;
+    for (const auto& [q, c] : measures) {
+      bool bit = test_bit(s, q);
+      if (readout) bit = noise.flip_readout(bit, rng);
+      if (bit) key = set_bit(key, c);
+    }
+    s = key;
+  }
+}
+
 template <typename T>
 ShotCounts Simulator<T>::run_shots(
     const ExecutionPlan& plan, ShotMode mode,
@@ -232,19 +283,17 @@ ShotCounts Simulator<T>::run_shots(
   ShotCounts out;
   if (shots == 0) return out;
   const unsigned n = plan.num_qubits;
+  const std::uint64_t state_bytes = pow2(n) * std::uint64_t{2 * sizeof(T)};
   if (mode == ShotMode::Sampled) {
-    StateVector<T> state(n, &exec_pool());
+    LentBuffer* lent = ctx().state_buffer();
+    StateVector<T> state =
+        lent != nullptr && state_bytes <= kLentStateBytes
+            ? StateVector<T>(n, &exec_pool(), *lent)
+            : StateVector<T>(n, &exec_pool());
     run_plan(state, plan);
-    const bool readout = options_.noise.has_readout_error();
-    for (std::uint64_t basis : state.sample(shots, rng_)) {
-      std::uint64_t key = 0;
-      for (const auto& [q, c] : measures) {
-        bool bit = test_bit(basis, q);
-        if (readout) bit = options_.noise.flip_readout(bit, rng_);
-        if (bit) key = set_bit(key, c);
-      }
-      ++out.counts[key];
-    }
+    std::vector<std::uint64_t> keys = state.sample(shots, rng_);
+    read_out(keys, measures, options_.noise, rng_);
+    out.counts = count_keys(std::move(keys));
     out.batches = 1;
     out.batch_size = 1;
     return out;
@@ -252,7 +301,6 @@ ShotCounts Simulator<T>::run_shots(
 
   // One batch of states is allocated and reset to |0...0> between batches,
   // so the working set stays at batch_bytes whatever the shot count.
-  const std::uint64_t state_bytes = pow2(n) * std::uint64_t{2 * sizeof(T)};
   out.batch_size = static_cast<std::size_t>(std::clamp<std::uint64_t>(
       batch_bytes / state_bytes, 1, shots));
   std::vector<StateVector<T>> states;
@@ -262,6 +310,7 @@ ShotCounts Simulator<T>::run_shots(
     states.emplace_back(n, &exec_pool());
     ptrs.push_back(&states.back());
   }
+  std::vector<std::uint64_t> keys;
   for (std::size_t done = 0; done < shots; done += ptrs.size()) {
     if (done > 0) {
       ptrs.resize(std::min(out.batch_size, shots - done));
@@ -271,10 +320,11 @@ ShotCounts Simulator<T>::run_shots(
       std::uint64_t key = 0;
       for (std::size_t b = 0; b < bits.size(); ++b)
         if (bits[b]) key = set_bit(key, static_cast<unsigned>(b));
-      ++out.counts[key];
+      keys.push_back(key);
     }
     ++out.batches;
   }
+  out.counts = count_keys(std::move(keys));
   return out;
 }
 
@@ -282,9 +332,11 @@ template <typename T>
 std::map<std::uint64_t, std::size_t> Simulator<T>::sample_counts(
     const qc::Circuit& circuit, std::size_t shots) {
   const ShotSplit split = split_shots(circuit, options_.noise, plan_options());
-  return run_shots(compile_plan(split.circuit, split.options), split.mode,
-                   split.measures, shots)
-      .counts;
+  const SortedCounts counts =
+      run_shots(compile_plan(split.circuit, split.options), split.mode,
+                split.measures, shots)
+          .counts;
+  return {counts.begin(), counts.end()};
 }
 
 template <typename T>

@@ -101,9 +101,30 @@ ShotSplit split_shots(const qc::Circuit& circuit, const NoiseModel& noise,
 /// (Simulator::run_shots); svc::ServiceOptions::batch_bytes defaults to it.
 inline constexpr std::uint64_t kTrajectoryBatchBytes = 64ull << 10;
 
+/// Largest sampled-mode state Simulator::run_shots builds in a context's
+/// lent buffer (ExecutionContext::state_buffer); larger states allocate, so
+/// a worker holds at most this much between jobs. At 4 MiB (n = 18 f64) an
+/// allocation's page faults are already small against the state's gates.
+inline constexpr std::uint64_t kLentStateBytes = 4ull << 20;
+
+/// (key, occurrences) in ascending key order.
+using SortedCounts = std::vector<std::pair<std::uint64_t, std::size_t>>;
+
+/// Histograms `keys` in key order: an LSD radix sort over the bytes up to
+/// the highest set bit of any key, then one pass over the runs.
+/// O(keys · key bytes).
+SortedCounts count_keys(std::vector<std::uint64_t> keys);
+
+/// Turns sampled basis indices into counts keys in place: key bit c is set
+/// when some measure (q, c) reads 1. With readout error each read draws a
+/// flip from `rng`, per shot and then per measure in order.
+void read_out(std::vector<std::uint64_t>& samples,
+              const std::vector<std::pair<unsigned, unsigned>>& measures,
+              const NoiseModel& noise, Xoshiro256& rng);
+
 /// One job's shot histogram and how its trajectories were batched.
 struct ShotCounts {
-  std::map<std::uint64_t, std::size_t> counts;  ///< key -> occurrences
+  SortedCounts counts;
   std::size_t batches = 0;     ///< 1 when sampled
   std::size_t batch_size = 0;  ///< states per full batch; 1 when sampled
 };
@@ -150,7 +171,9 @@ class Simulator {
 
   /// Runs `shots` shots of a plan compiled from a ShotSplit circuit.
   /// Sampled: one run_plan, `shots` draws from the state, then each
-  /// `measures` bit read through the readout error, in that RNG order.
+  /// `measures` bit read through the readout error, in that RNG order; the
+  /// state lives in the context's lent buffer when it has one (up to
+  /// kLentStateBytes), else in a fresh allocation.
   /// Trajectory: batches of max(1, batch_bytes / state bytes) states,
   /// allocated once and reset between batches, through run_plan_batch;
   /// trajectory t draws from its own stream keyed by t, so the counts do

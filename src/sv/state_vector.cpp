@@ -2,21 +2,64 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
 
 namespace svsim::sv {
 
-template <typename T>
-StateVector<T>::StateVector(unsigned num_qubits, ThreadPool* pool)
-    : num_qubits_(num_qubits),
-      amps_(pow2(num_qubits), /*alignment=*/4096),
-      pool_(pool) {
+namespace {
+
+unsigned checked_width(unsigned num_qubits) {
   require(num_qubits >= 1 && num_qubits <= 34,
           "StateVector supports 1..34 qubits");
+  return num_qubits;
+}
+
+}  // namespace
+
+template <typename T>
+StateVector<T>::StateVector(unsigned num_qubits, ThreadPool* pool)
+    : num_qubits_(checked_width(num_qubits)),
+      size_(pow2(num_qubits)),
+      owned_(size_, LentBuffer::kAlignment),
+      pool_(pool) {
+  SVSIM_ASSERT(pool_ != nullptr);
+  amps_ = owned_.data();
+  set_basis_state(0);
+}
+
+template <typename T>
+StateVector<T>::StateVector(unsigned num_qubits, ThreadPool* pool,
+                            LentBuffer& storage)
+    : num_qubits_(checked_width(num_qubits)),
+      size_(pow2(num_qubits)),
+      amps_(static_cast<value_type*>(
+          storage.acquire(size_ * sizeof(value_type)))),
+      pool_(pool) {
   SVSIM_ASSERT(pool_ != nullptr);
   set_basis_state(0);
+}
+
+template <typename T>
+StateVector<T>::StateVector(StateVector&& other) noexcept
+    : num_qubits_(other.num_qubits_),
+      size_(std::exchange(other.size_, 0)),
+      amps_(std::exchange(other.amps_, nullptr)),
+      owned_(std::move(other.owned_)),
+      pool_(other.pool_) {}
+
+template <typename T>
+StateVector<T>& StateVector<T>::operator=(StateVector&& other) noexcept {
+  if (this != &other) {
+    num_qubits_ = other.num_qubits_;
+    size_ = std::exchange(other.size_, 0);
+    amps_ = std::exchange(other.amps_, nullptr);
+    owned_ = std::move(other.owned_);
+    pool_ = other.pool_;
+  }
+  return *this;
 }
 
 template <typename T>
@@ -29,7 +72,7 @@ double StateVector<T>::probability(std::uint64_t i) const {
 template <typename T>
 void StateVector<T>::set_basis_state(std::uint64_t basis) {
   require(basis < size(), "set_basis_state: basis index out of range");
-  value_type* psi = amps_.data();
+  value_type* psi = amps_;
   pool_->parallel_for(size(), sizeof(value_type),
                       [psi](unsigned, std::uint64_t b, std::uint64_t e) {
                         std::fill(psi + b, psi + e, value_type{});
@@ -40,7 +83,7 @@ void StateVector<T>::set_basis_state(std::uint64_t basis) {
 template <typename T>
 void StateVector<T>::set_state(std::span<const std::complex<double>> state) {
   require(state.size() == size(), "set_state: size mismatch");
-  value_type* psi = amps_.data();
+  value_type* psi = amps_;
   const std::complex<double>* src = state.data();
   pool_->parallel_for(
       size(), sizeof(value_type) + sizeof(src[0]),
@@ -62,7 +105,7 @@ std::vector<std::complex<double>> StateVector<T>::to_vector() const {
 
 template <typename T>
 double StateVector<T>::norm_squared() const {
-  const value_type* psi = amps_.data();
+  const value_type* psi = amps_;
   return pool_->parallel_reduce(
       size(), sizeof(value_type),
       [psi](unsigned, std::uint64_t b, std::uint64_t e) {
@@ -80,7 +123,7 @@ void StateVector<T>::normalize() {
   const double n2 = norm_squared();
   require(n2 > 0.0, "normalize: zero state");
   const T inv = static_cast<T>(1.0 / std::sqrt(n2));
-  value_type* psi = amps_.data();
+  value_type* psi = amps_;
   pool_->parallel_for(size(), sizeof(value_type),
                       [psi, inv](unsigned, std::uint64_t b, std::uint64_t e) {
                         for (std::uint64_t i = b; i < e; ++i) psi[i] *= inv;
@@ -91,8 +134,8 @@ template <typename T>
 std::complex<double> StateVector<T>::inner_product(
     const StateVector& other) const {
   require(size() == other.size(), "inner_product: size mismatch");
-  const value_type* a = amps_.data();
-  const value_type* b = other.amps_.data();
+  const value_type* a = amps_;
+  const value_type* b = other.amps_;
   // Two reductions (real and imaginary part); simpler than a complex-typed
   // reduce and still one pass each through cache-resident test sizes.
   const double re = pool_->parallel_reduce(
@@ -121,7 +164,7 @@ std::complex<double> StateVector<T>::inner_product(
 template <typename T>
 double StateVector<T>::probability_of_one(unsigned q) const {
   require(q < num_qubits_, "probability_of_one: qubit out of range");
-  const value_type* psi = amps_.data();
+  const value_type* psi = amps_;
   const std::uint64_t half = size() / 2;
   // Fixed-chunk reduction (same scheme as sample()): per-chunk partials are
   // computed in parallel but summed in chunk order, so the result is
@@ -171,7 +214,7 @@ std::vector<double> StateVector<T>::marginal_probabilities(
   std::vector<double> out(bins, 0.0);
   // Single sequential sweep (parallel would need per-thread bins; marginals
   // are not on the hot path).
-  const value_type* psi = amps_.data();
+  const value_type* psi = amps_;
   for (std::uint64_t i = 0; i < size(); ++i) {
     const double p = static_cast<double>(psi[i].real()) * psi[i].real() +
                      static_cast<double>(psi[i].imag()) * psi[i].imag();
@@ -185,7 +228,7 @@ void StateVector<T>::collapse(unsigned q, bool outcome, double prob_outcome) {
   require(q < num_qubits_, "collapse: qubit out of range");
   require(prob_outcome > 0.0, "collapse: zero-probability outcome");
   const T scale = static_cast<T>(1.0 / std::sqrt(prob_outcome));
-  value_type* psi = amps_.data();
+  value_type* psi = amps_;
   const std::uint64_t half = size() / 2;
   pool_->parallel_for(
       half, 2 * sizeof(value_type),
@@ -214,7 +257,7 @@ void StateVector<T>::reset_qubit(unsigned q, Xoshiro256& rng) {
   if (measure(q, rng)) {
     // Map |1> back to |0>: swap the halves (an X gate restricted to the
     // collapsed state is just a relabeling because the |0> half is zero).
-    value_type* psi = amps_.data();
+    value_type* psi = amps_;
     const std::uint64_t half = size() / 2;
     pool_->parallel_for(half, 2 * sizeof(value_type),
                         [psi, q](unsigned, std::uint64_t b, std::uint64_t e) {
@@ -232,44 +275,94 @@ template <typename T>
 std::vector<std::uint64_t> StateVector<T>::sample(std::size_t shots,
                                                   Xoshiro256& rng) const {
   // Chunked cumulative distribution: one coarse table of at most 2^12
-  // chunk sums, then a scan within the selected chunk. Keeps the setup pass
-  // parallel-friendly and each shot cheap.
+  // chunk sums, summed in chunk order, then a scan within the selected
+  // chunk. Keeps the setup pass parallel-friendly and each shot cheap.
   const std::uint64_t num_chunks = std::min<std::uint64_t>(size(), 1u << 12);
   const std::uint64_t chunk = size() / num_chunks;
   std::vector<double> cum(num_chunks + 1, 0.0);
-  const value_type* psi = amps_.data();
+  const value_type* psi = amps_;
+  const auto prob = [psi](std::uint64_t i) {
+    return static_cast<double>(psi[i].real()) * psi[i].real() +
+           static_cast<double>(psi[i].imag()) * psi[i].imag();
+  };
   pool_->parallel_for(
       num_chunks, chunk * sizeof(value_type),
-      [psi, chunk, &cum](unsigned, std::uint64_t b, std::uint64_t e) {
+      [&prob, chunk, &cum](unsigned, std::uint64_t b, std::uint64_t e) {
         for (std::uint64_t k = b; k < e; ++k) {
           double acc = 0.0;
-          for (std::uint64_t i = k * chunk; i < (k + 1) * chunk; ++i) {
-            acc += static_cast<double>(psi[i].real()) * psi[i].real() +
-                   static_cast<double>(psi[i].imag()) * psi[i].imag();
-          }
+          for (std::uint64_t i = k * chunk; i < (k + 1) * chunk; ++i)
+            acc += prob(i);
           cum[k + 1] = acc;
         }
       });
   for (std::uint64_t k = 0; k < num_chunks; ++k) cum[k + 1] += cum[k];
   const double total = cum[num_chunks];
 
-  std::vector<std::uint64_t> out;
-  out.reserve(shots);
+  // Guide table: guide[g] is the first j with cum[j] > g * total / G, so
+  // the search for the first cum[j] > r (what std::upper_bound returns)
+  // starts next to its answer and walks O(1) expected steps. The walk
+  // corrects in both directions, so rounding in the bucket only costs
+  // steps, never changes the answer.
+  const std::uint64_t buckets = num_chunks;
+  const double step = total / static_cast<double>(buckets);
+  std::vector<std::uint32_t> guide(buckets);
+  for (std::uint64_t g = 0, j = 0; g < buckets; ++g) {
+    const double threshold = static_cast<double>(g) * step;
+    while (j <= num_chunks && cum[j] <= threshold) ++j;
+    guide[g] = static_cast<std::uint32_t>(j);
+  }
+
+  // Pass 1, per shot in draw order: the uniform and its chunk. With
+  // one-amplitude chunks the chunk is the sample.
+  std::vector<std::uint64_t> out(shots);
+  std::vector<double> rs(chunk > 1 ? shots : 0);
   for (std::size_t s = 0; s < shots; ++s) {
-    const double r = rng.uniform() * total;
-    // Binary search the chunk, then linear scan inside.
-    const auto it = std::upper_bound(cum.begin(), cum.end(), r);
-    std::uint64_t k = static_cast<std::uint64_t>(
-        std::max<std::ptrdiff_t>(0, it - cum.begin() - 1));
-    if (k >= num_chunks) k = num_chunks - 1;
+    const double u = rng.uniform();
+    const double r = u * total;
+    std::uint64_t j = guide[static_cast<std::uint64_t>(
+        u * static_cast<double>(buckets))];
+    while (j > 0 && cum[j - 1] > r) --j;
+    // Usually zero to two steps up: taken without a branch first.
+    j += j <= num_chunks && cum[j] <= r ? 1u : 0u;
+    j += j <= num_chunks && cum[j] <= r ? 1u : 0u;
+    while (j <= num_chunks && cum[j] <= r) ++j;
+    out[s] = std::min(j == 0 ? 0 : j - 1, num_chunks - 1);
+    if (chunk > 1) rs[s] = r;
+  }
+  if (chunk == 1) return out;
+
+  // Pass 2, shots grouped by chunk in chunk order (a counting sort), so the
+  // scans walk the state once instead of jumping across it. Each scan adds
+  // the chunk's probabilities to cum[k] in order and stops at the first
+  // running sum above r; the chunk's last amplitude takes whatever rounding
+  // leaves over. The running sums never decrease, so the stop is the count
+  // of sums at or below r: counted 16 at a time without a branch per
+  // amplitude, the same sums in the same order.
+  std::vector<std::size_t> first(num_chunks + 1, 0);
+  for (std::size_t s = 0; s < shots; ++s) ++first[out[s] + 1];
+  for (std::uint64_t k = 0; k < num_chunks; ++k) first[k + 1] += first[k];
+  std::vector<std::size_t> order(shots);
+  for (std::size_t s = 0; s < shots; ++s) order[first[out[s]]++] = s;
+  for (const std::size_t s : order) {
+    const std::uint64_t k = out[s];
+    const double r = rs[s];
+    const std::uint64_t last = (k + 1) * chunk - 1;
     double acc = cum[k];
     std::uint64_t idx = k * chunk;
-    for (; idx + 1 < (k + 1) * chunk; ++idx) {
-      acc += static_cast<double>(psi[idx].real()) * psi[idx].real() +
-             static_cast<double>(psi[idx].imag()) * psi[idx].imag();
-      if (acc > r) break;
+    for (;;) {
+      const std::uint64_t stop = std::min(idx + 16, last);
+      std::uint64_t below = 0;
+      for (std::uint64_t i = idx; i < stop; ++i) {
+        acc += prob(i);
+        below += acc <= r ? 1 : 0;
+      }
+      if (idx + below < stop || stop == last) {
+        idx += below;
+        break;
+      }
+      idx = stop;
     }
-    out.push_back(idx);
+    out[s] = idx;
   }
   return out;
 }
@@ -278,7 +371,7 @@ template <typename T>
 double StateVector<T>::expectation(const qc::PauliString& pauli) const {
   require(pauli.num_qubits() == num_qubits_,
           "expectation: Pauli qubit count mismatch");
-  const value_type* psi = amps_.data();
+  const value_type* psi = amps_;
   const std::uint64_t x = pauli.x_mask();
   const std::uint64_t z = pauli.z_mask();
   const unsigned y_count = popcount(x & z);

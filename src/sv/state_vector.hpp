@@ -1,10 +1,11 @@
 // StateVector<T>: the 2^n-amplitude register.
 //
 // Owns an aligned array of std::complex<T> (T = float or double; the paper's
-// precision study needs both). Allocation is uninitialized and the |0...0>
-// fill runs through the thread pool so pages are first-touched by the
-// workers that will stream them (NUMA-correct on real multi-socket/CMG
-// machines).
+// precision study needs both), or borrows one from a LentBuffer so a serve
+// worker reuses one state's pages job after job. Allocation is
+// uninitialized and the |0...0> fill runs through the thread pool so pages
+// are first-touched by the workers that will stream them (NUMA-correct on
+// real multi-socket/CMG machines).
 //
 // All whole-register reductions (norm, probabilities, sampling, expectation)
 // live here; gate application is in kernels.hpp.
@@ -33,14 +34,19 @@ class StateVector {
   explicit StateVector(unsigned num_qubits,
                        ThreadPool* pool = &ThreadPool::global());
 
-  StateVector(StateVector&&) noexcept = default;
-  StateVector& operator=(StateVector&&) noexcept = default;
+  /// Same, over `storage`'s memory (grown if too small) instead of a fresh
+  /// allocation. `storage` must outlive the state and lend itself to no
+  /// other user meanwhile.
+  StateVector(unsigned num_qubits, ThreadPool* pool, LentBuffer& storage);
+
+  StateVector(StateVector&& other) noexcept;
+  StateVector& operator=(StateVector&& other) noexcept;
 
   unsigned num_qubits() const noexcept { return num_qubits_; }
-  std::uint64_t size() const noexcept { return amps_.size(); }
+  std::uint64_t size() const noexcept { return size_; }
 
-  value_type* data() noexcept { return amps_.data(); }
-  const value_type* data() const noexcept { return amps_.data(); }
+  value_type* data() noexcept { return amps_; }
+  const value_type* data() const noexcept { return amps_; }
 
   ThreadPool& pool() const noexcept { return *pool_; }
 
@@ -86,7 +92,10 @@ class StateVector {
   void reset_qubit(unsigned q, Xoshiro256& rng);
 
   /// Draws `shots` basis-state samples from |a|^2 without disturbing the
-  /// state. O(size + shots·log size) via a chunked cumulative table.
+  /// state, one uniform per shot in shot order. One pass builds a table of
+  /// at most 2^12 chunk sums and a guide table into it; each shot then finds
+  /// its chunk in O(1) expected steps and scans at most that chunk
+  /// (size / 2^12 amplitudes), the scans running in chunk order.
   std::vector<std::uint64_t> sample(std::size_t shots, Xoshiro256& rng) const;
 
   /// <ψ|P|ψ> for a single Pauli string (real by Hermiticity; parallel).
@@ -97,7 +106,9 @@ class StateVector {
 
  private:
   unsigned num_qubits_ = 0;
-  AlignedBuffer<value_type> amps_;
+  std::uint64_t size_ = 0;
+  value_type* amps_ = nullptr;   ///< owned_'s data or lent memory
+  AlignedBuffer<value_type> owned_;
   ThreadPool* pool_ = nullptr;
 };
 

@@ -284,6 +284,11 @@ Value parse(const std::string& text) { return Parser(text).parse_document(); }
 std::string escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
+  append_escaped(out, s);
+  return out;
+}
+
+void append_escaped(std::string& out, std::string_view s) {
   for (char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -302,7 +307,6 @@ std::string escape(const std::string& s) {
         }
     }
   }
-  return out;
 }
 
 }  // namespace svsim::svc::json

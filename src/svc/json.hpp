@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -66,5 +67,8 @@ Value parse(const std::string& text);
 /// Escapes `s` for embedding inside a JSON string literal (quotes not
 /// included) — the writer-side counterpart the result emitter uses.
 std::string escape(const std::string& s);
+
+/// Appends escape(s) to `out`.
+void append_escaped(std::string& out, std::string_view s);
 
 }  // namespace svsim::svc::json

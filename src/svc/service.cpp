@@ -1,6 +1,7 @@
 #include "svc/service.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -9,7 +10,6 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -52,16 +52,6 @@ double host_memory_bytes() {
                : std::numeric_limits<double>::infinity();
   }();
   return bytes;
-}
-
-/// MSB-first classical-register rendering of a counts key (identical to the
-/// `svsim run` output labels).
-std::string bit_label(std::uint64_t key, unsigned width) {
-  std::string label;
-  label.reserve(width);
-  for (unsigned b = width; b-- > 0;)
-    label += ((key >> b) & 1) ? '1' : '0';
-  return label;
 }
 
 sv::ExecutionPlan compile_for_service(const qc::Circuit& circuit,
@@ -245,8 +235,7 @@ JobResult Service::execute(const JobRequest& request,
         *cached->plan,
         cached->sampled_mode ? sv::ShotMode::Sampled : sv::ShotMode::Trajectory,
         cached->measures, request.shots, options_.batch_bytes);
-    for (const auto& [bits, count] : shots.counts)
-      result.counts[bit_label(bits, cached->num_clbits)] = count;
+    result.counts = label_counts(shots.counts, cached->num_clbits);
     result.batches = shots.batches;
     result.batch_size = shots.batch_size;
   };
@@ -258,6 +247,19 @@ JobResult Service::execute(const JobRequest& request,
   result.execute_seconds = seconds_since(exec_start);
   result.total_seconds = seconds_since(job_start);
   return result;
+}
+
+std::map<std::string, std::size_t> label_counts(const sv::SortedCounts& counts,
+                                                unsigned width) {
+  std::map<std::string, std::size_t> labels;
+  const std::uint64_t in_label = width < 64 ? pow2(width) - 1 : ~0ull;
+  for (const auto& [key, count] : counts) {
+    std::string label(width, '0');
+    for (std::uint64_t k = key & in_label; k != 0; k &= k - 1)
+      label[width - 1 - static_cast<unsigned>(__builtin_ctzll(k))] = '1';
+    labels.emplace_hint(labels.end(), std::move(label), count);
+  }
+  return labels;
 }
 
 // ---- Serve protocol -----------------------------------------------------
@@ -313,10 +315,16 @@ qc::Circuit parse_circuit(const json::Value& job) {
   throw Error("job needs a circuit: one of \"qasm\", \"qft\", \"qv\"");
 }
 
-std::string format_double(double v) {
+/// Appends `v` as printf's %.9g writes it.
+void append_double(std::string& out, double v) {
   char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.9g", v);
-  return buf;
+  const int len = std::snprintf(buf, sizeof(buf), "%.9g", v);
+  out.append(buf, static_cast<std::size_t>(len));
+}
+
+void append_count(std::string& out, std::uint64_t v) {
+  char buf[24];
+  out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 }  // namespace
@@ -351,41 +359,73 @@ JobRequest parse_job_line(const std::string& line) {
 }
 
 std::string result_to_json(const JobResult& r) {
-  std::ostringstream out;
-  out << "{\"type\":\"result\",\"id\":\"" << json::escape(r.id) << "\","
-      << "\"ok\":" << (r.ok ? "true" : "false");
+  std::string out;
+  out.reserve(512 + r.id.size() + r.error_message.size() +
+              r.plan_summary.size());
+  out += "{\"type\":\"result\",\"id\":\"";
+  json::append_escaped(out, r.id);
+  out += r.ok ? "\",\"ok\":true" : "\",\"ok\":false";
   if (!r.ok) {
-    out << ",\"error\":{\"code\":\"" << json::escape(r.error_code)
-        << "\",\"message\":\"" << json::escape(r.error_message) << "\"}";
+    out += ",\"error\":{\"code\":\"";
+    json::append_escaped(out, r.error_code);
+    out += "\",\"message\":\"";
+    json::append_escaped(out, r.error_message);
+    out += "\"}";
   }
-  out << ",\"shots\":" << r.shots;
+  out += ",\"shots\":";
+  append_count(out, r.shots);
   if (r.ok) {
-    out << ",\"counts\":{";
-    bool first = true;
+    out += ",\"counts\":{";
+    // "label":count, entries written straight into room sized for them.
+    std::size_t room = 0;
+    for (const auto& entry : r.counts) room += entry.first.size() + 24;
+    std::size_t at = out.size();
+    out.resize(at + room);
     for (const auto& [bits, count] : r.counts) {
-      if (!first) out << ",";
-      first = false;
-      out << "\"" << bits << "\":" << count;
+      char* p = out.data() + at;
+      *p++ = '"';
+      p = std::copy(bits.begin(), bits.end(), p);
+      *p++ = '"';
+      *p++ = ':';
+      p = std::to_chars(p, p + 20, count).ptr;
+      *p++ = ',';
+      at = static_cast<std::size_t>(p - out.data());
     }
-    out << "},\"mode\":\"" << r.mode << "\",\"precision\":\""
-        << json::escape(r.precision) << "\",\"executions\":" << r.executions
-        << ",\"batches\":" << r.batches
-        << ",\"batch_size\":" << r.batch_size;
+    out.resize(r.counts.empty() ? at : at - 1);  // the last entry's comma
+    out += "},\"mode\":\"";
+    out += r.mode;
+    out += "\",\"precision\":\"";
+    json::append_escaped(out, r.precision);
+    out += "\",\"executions\":";
+    append_count(out, r.executions);
+    out += ",\"batches\":";
+    append_count(out, r.batches);
+    out += ",\"batch_size\":";
+    append_count(out, r.batch_size);
   }
   if (!r.cache_key.empty()) {
-    out << ",\"cache\":{\"hit\":" << (r.cache_hit ? "true" : "false")
-        << ",\"key\":\"" << r.cache_key << "\",\"plan\":\""
-        << json::escape(r.plan_summary)
-        << "\",\"footprint_bytes\":" << r.plan_footprint_bytes << "}";
+    out += ",\"cache\":{\"hit\":";
+    out += r.cache_hit ? "true" : "false";
+    out += ",\"key\":\"";
+    out += r.cache_key;
+    out += "\",\"plan\":\"";
+    json::append_escaped(out, r.plan_summary);
+    out += "\",\"footprint_bytes\":";
+    append_count(out, r.plan_footprint_bytes);
+    out += '}';
   }
-  out << ",\"admission\":{\"modeled_seconds\":"
-      << format_double(r.modeled_seconds) << ",\"limit_seconds\":"
-      << format_double(r.modeled_limit_seconds) << "}";
-  out << ",\"timing\":{\"compile_seconds\":"
-      << format_double(r.compile_seconds) << ",\"execute_seconds\":"
-      << format_double(r.execute_seconds) << ",\"total_seconds\":"
-      << format_double(r.total_seconds) << "}}";
-  return out.str();
+  out += ",\"admission\":{\"modeled_seconds\":";
+  append_double(out, r.modeled_seconds);
+  out += ",\"limit_seconds\":";
+  append_double(out, r.modeled_limit_seconds);
+  out += "},\"timing\":{\"compile_seconds\":";
+  append_double(out, r.compile_seconds);
+  out += ",\"execute_seconds\":";
+  append_double(out, r.execute_seconds);
+  out += ",\"total_seconds\":";
+  append_double(out, r.total_seconds);
+  out += "}}";
+  return out;
 }
 
 namespace {
@@ -442,12 +482,17 @@ ServeStats serve_session(std::istream& in, std::ostream& out,
   // registry, so session metrics merge by construction (counters are
   // atomic). A single worker reuses the service's configured pool and pops
   // in submission order, preserving the classic serve behavior exactly.
+  // Each worker also lends its sampled-mode state from one buffer of its
+  // own, so a job reuses the last job's pages instead of faulting in new
+  // ones (Simulator::run_shots).
   std::vector<std::unique_ptr<ThreadPool>> slices;
+  std::vector<LentBuffer> state_buffers(workers);
   std::vector<ExecutionContext> contexts;
   contexts.reserve(workers);
   if (workers == 1) {
     contexts.emplace_back();
-    contexts.back().with_pool(*service.options().pool);
+    contexts.back().with_pool(*service.options().pool).with_state_buffer(
+        state_buffers.front());
   } else {
     ContextConfig config;
     config.element_bytes =
@@ -458,7 +503,10 @@ ServeStats serve_session(std::istream& in, std::ostream& out,
     for (unsigned w = 0; w < workers; ++w) {
       slices.push_back(std::make_unique<ThreadPool>(per_worker));
       contexts.emplace_back();
-      contexts.back().with_pool(*slices.back()).with_config(config);
+      contexts.back()
+          .with_pool(*slices.back())
+          .with_config(config)
+          .with_state_buffer(state_buffers[w]);
     }
   }
 

@@ -45,7 +45,7 @@ struct ServiceOptions {
   /// admission. Owned by value: jobs may outlive any caller-held spec.
   machine::MachineSpec machine = machine::MachineSpec::a64fx();
   /// Plan-cache byte budget (LRU evicts beyond it).
-  std::uint64_t cache_bytes = 16ull << 20;
+  std::uint64_t cache_bytes = 8ull << 20;
   /// Admission ceiling on the modeled compute time of one job
   /// (cost.compute_seconds x trajectory executions); 0 = admit everything.
   double max_modeled_seconds = 0.0;
@@ -165,6 +165,12 @@ class Service {
 /// svsim::Error on malformed input; the serve loop converts that into an
 /// ok=false result with code "bad_request".
 JobRequest parse_job_line(const std::string& line);
+
+/// MSB-first `width`-bit labels of key-sorted counts (the `svsim run`
+/// labels). Fixed-width labels sort like their keys, so each one is
+/// inserted at the map's end.
+std::map<std::string, std::size_t> label_counts(const sv::SortedCounts& counts,
+                                                unsigned width);
 
 /// Renders a JobResult as one line of JSON (no trailing newline).
 std::string result_to_json(const JobResult& result);

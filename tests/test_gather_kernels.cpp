@@ -1,5 +1,7 @@
 // The gather-class entries of every compiled backend: McPhase, DiagK and
-// MatrixK. For every operand placement on a small state (qubit 0 and the
+// MatrixK, and Matrix2 on the operands inside a vector (qubits 0 and 1),
+// which f32 serves through the MatrixK lane path. For every operand
+// placement on a small state (qubit 0 and the
 // top qubit included) each entry must match the scalar reference table
 // within the documented bounds (1e-13 f64, 1e-5 f32), and its result must
 // be bit-identical however the counter range is cut: every head and tail
@@ -104,21 +106,38 @@ bool same_bits(const std::vector<std::complex<T>>& a,
          std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
 }
 
+/// Matrix2 on every placement that has qubit 0 or 1 as an operand, in both
+/// operand orders: the operands f32 vectors (and f64, for qubit 0) hold.
+std::vector<Gate> low_matrix2_gates(unsigned n, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<Gate> gates;
+  for (unsigned a = 0; a < n; ++a)
+    for (unsigned b = 0; b < n; ++b)
+      if (a != b && (a <= 1 || b <= 1))
+        gates.push_back(
+            Gate::unitary({a, b}, qc::Matrix::random_unitary(4, rng)));
+  return gates;
+}
+
+constexpr unsigned kPlacementQubits = 7;
+
 template <typename T>
-void check_against_scalar_and_offsets(double tol) {
-  constexpr unsigned kN = 7;
+void check_against_scalar_and_offsets(const std::vector<Gate>& gates,
+                                      double tol) {
   const auto& active = active_kernel_table<T>();
   const auto& scalar = kernel_table<T>();
   std::uint64_t seed = 0x6a7e;
-  for (const Gate& g : gather_gates(kN, 0x91)) {
+  for (const Gate& g : gates) {
     const PreparedGate<T> pg = prepare_gate<T>(g);
     ASSERT_TRUE(pg.cls == KernelClass::McPhase ||
                 pg.cls == KernelClass::DiagK ||
-                pg.cls == KernelClass::MatrixK)
+                pg.cls == KernelClass::MatrixK ||
+                pg.cls == KernelClass::Matrix2)
         << g.to_string();
     const KernelFn<T> fn = active[static_cast<std::size_t>(pg.cls)];
-    const std::uint64_t counters = pow2(kN - pg.counter_bits);
-    const std::vector<std::complex<T>> input = random_amps<T>(kN, ++seed);
+    const std::uint64_t counters = pow2(kPlacementQubits - pg.counter_bits);
+    const std::vector<std::complex<T>> input =
+        random_amps<T>(kPlacementQubits, ++seed);
 
     std::vector<std::complex<T>> whole = input, ref = input;
     fn(whole.data(), pg, 0, counters);
@@ -158,6 +177,8 @@ void check_pool_sizes() {
       Gate::unitary({0, 5, top}, qc::Matrix::random_unitary(8, rng)),
       Gate::unitary({3, 1, 12}, qc::Matrix::random_unitary(8, rng)),
       Gate::unitary({top, 4, 6, 0}, qc::Matrix::random_unitary(16, rng)),
+      Gate::unitary({1, top}, qc::Matrix::random_unitary(4, rng)),
+      Gate::unitary({1, 0}, qc::Matrix::random_unitary(4, rng)),
   };
   pool4.reset_stats();
   std::uint64_t seed = 0x7b00;
@@ -195,11 +216,18 @@ class GatherKernels : public ::testing::TestWithParam<simd::Isa> {
 };
 
 TEST_P(GatherKernels, MatchScalarAndIgnoreRangeCutsF64) {
-  check_against_scalar_and_offsets<double>(1e-13);
+  check_against_scalar_and_offsets<double>(
+      gather_gates(kPlacementQubits, 0x91), 1e-13);
 }
 
 TEST_P(GatherKernels, MatchScalarAndIgnoreRangeCutsF32) {
-  check_against_scalar_and_offsets<float>(1e-5);
+  check_against_scalar_and_offsets<float>(
+      gather_gates(kPlacementQubits, 0x91), 1e-5);
+}
+
+TEST_P(GatherKernels, Matrix2OnLowQubitsIgnoresRangeCutsF32) {
+  check_against_scalar_and_offsets<float>(
+      low_matrix2_gates(kPlacementQubits, 0x4d), 1e-5);
 }
 
 TEST_P(GatherKernels, PoolSizesAreBitIdenticalF64) { check_pool_sizes<double>(); }
