@@ -76,53 +76,19 @@ void observe_sweep(obs::MetricsRegistry& registry, std::size_t gates,
   registry.counter("sv.sweep_bytes").add(traversal_bytes);
 }
 
-/// Estimated bytes a gate's kernel streams on a 2^n state (read + write of
-/// the touched amplitude subset). Deliberately simple — the line-granular
-/// traffic model lives in perf::gate_cost; this is the label attached to
-/// measured trace spans so per-kernel GB/s can be derived at runtime.
+/// Estimated bytes a gate's kernel streams on a 2^n state: a read and a
+/// write of each amplitude the kernel touches (sv::kernel_work); MEASURE
+/// and RESET read the state and write about half of it. Deliberately
+/// simple — the line-granular traffic model lives in perf::gate_cost; this
+/// is the label attached to measured trace spans so per-kernel GB/s can be
+/// derived at runtime.
 template <typename T>
 std::uint64_t approx_streamed_bytes(const Gate& g, unsigned n) {
-  const std::uint64_t N = pow2(n);
-  const std::uint64_t amp = 2 * sizeof(T);
-  switch (g.kind) {
-    case GateKind::I:
-    case GateKind::BARRIER:
-      return 0;
-    // Diagonal phase on the |1> half of one qubit.
-    case GateKind::Z:
-    case GateKind::S:
-    case GateKind::Sdg:
-    case GateKind::T:
-    case GateKind::Tdg:
-    case GateKind::P:
-      return (N / 2) * amp * 2;
-    // Controlled single-target kernels touch the all-controls-one subspace.
-    case GateKind::CX:
-    case GateKind::CY:
-    case GateKind::CH:
-    case GateKind::CRX:
-    case GateKind::CRY:
-    case GateKind::CRZ:
-    case GateKind::CCX:
-    case GateKind::MCX:
-      return 2 * (N >> g.num_controls()) * amp;
-    // Phase on the all-ones subspace of every operand.
-    case GateKind::CZ:
-    case GateKind::CP:
-    case GateKind::CCZ:
-    case GateKind::MCP:
-      return 2 * (N >> g.num_qubits()) * amp;
-    case GateKind::SWAP:
-      return 2 * (N / 2) * amp;
-    case GateKind::CSWAP:
-      return 2 * (N / 2) * amp;
-    // Probability reduction (read all) + collapse (write ~half).
-    case GateKind::MEASURE:
-    case GateKind::RESET:
-      return N * amp * 3 / 2;
-    default:
-      return 2 * N * amp;  // full-sweep kernels
-  }
+  const std::uint64_t state_bytes = pow2(n) * 2 * sizeof(T);
+  if (g.kind == GateKind::MEASURE || g.kind == GateKind::RESET)
+    return state_bytes * 3 / 2;
+  return static_cast<std::uint64_t>(2.0 * static_cast<double>(state_bytes) *
+                                    kernel_work(g).touched_share());
 }
 
 /// Amplitude distance between paired elements in the innermost loop.

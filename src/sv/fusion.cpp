@@ -43,17 +43,13 @@ struct Group {
   }
 };
 
-/// Price of a gate as prepared for its kernel (sv::kernel_price).
-double gate_price(const Gate& g) {
-  return kernel_price(prepare_gate<double>(g));
-}
+/// Price of a gate's kernel work (sv::kernel_price).
+double gate_price(const Gate& g) { return kernel_price(kernel_work(g)); }
 
-/// Price of a dense UNITARY on k qubits: the class of its width, every
-/// amplitude, 2^k multiplies each. It does not depend on the matrix, so a
-/// candidate merge is priced before its unitary is built.
+/// Price of a dense UNITARY on k qubits. It does not depend on the matrix,
+/// so a candidate merge is priced before its unitary is built.
 double dense_price(std::size_t width) {
-  const auto k = static_cast<unsigned>(width);
-  return kernel_price(unitary_class(k), k, static_cast<unsigned>(pow2(k)));
+  return kernel_price(dense_work(static_cast<unsigned>(width)));
 }
 
 /// Diagonal of a diagonal gate (qubits[0] = LSB of the index).
@@ -164,8 +160,9 @@ Circuit fuse(const Circuit& circuit, const FusionOptions& options) {
     const double price = gate_price(g);
     const bool diagonal = g.is_diagonal();
     // g joins when the group stays within the width cap and the merged
-    // gate is cheaper than the group and g apart. A non-diagonal gate ends
-    // a diagonal group rather than densifying it.
+    // gate costs no more than the group and g apart (at a tie, one gate
+    // does the same work in one pass instead of two). A non-diagonal gate
+    // ends a diagonal group rather than densifying it.
     if (!group.empty() && !(group.diagonal && !diagonal)) {
       std::vector<unsigned> wider = group.support_with(g);
       if (wider.size() <= options.max_width) {
@@ -177,7 +174,7 @@ Circuit fuse(const Circuit& circuit, const FusionOptions& options) {
         } else {
           merged = dense_price(wider.size());
         }
-        if (merged < group.price + price) {
+        if (merged <= group.price + price) {
           group.gates.push_back(g);
           group.support = std::move(wider);
           group.entries = std::move(entries);

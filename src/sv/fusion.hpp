@@ -1,10 +1,11 @@
-// Gate fusion: merge adjacent gates into one gate when that is cheaper.
+// Gate fusion: merge adjacent gates into one gate when that costs no more.
 //
 // Every gate is priced by the work its kernel does (sv::kernel_price): the
 // share of amplitudes it touches times the complex multiplies per touched
 // amplitude, plus one traversal of the state. A run of adjacent gates whose
 // combined support fits in max_width qubits becomes one gate only while
-// each merge keeps the merged gate's price below the sum of its parts, so
+// each merge keeps the merged gate's price at or below the sum of its parts
+// (a tie merges: the same work in one pass instead of two), so
 // max_width is a cap, not a target. Merges keep structure: an all-diagonal
 // group stays a DIAG gate, and a non-diagonal gate ends a diagonal group
 // instead of densifying it (a diagonal gate may still extend a group that

@@ -16,9 +16,7 @@ const char* kernel_class_name(KernelClass c) {
     case KernelClass::Mcx: return "mcx";
     case KernelClass::Hadamard: return "h";
     case KernelClass::Diag1: return "diag1";
-    case KernelClass::CtrlDiag1: return "cdiag1";
     case KernelClass::McPhase: return "mcphase";
-    case KernelClass::Diag2: return "diag2";
     case KernelClass::DiagK: return "diagk";
     case KernelClass::Matrix1: return "mat1";
     case KernelClass::CtrlMatrix1: return "cmat1";
@@ -65,8 +63,6 @@ KernelClass classify_gate(const Gate& g) {
     case GateKind::CCZ:
     case GateKind::MCP:
       return KernelClass::McPhase;
-    case GateKind::CRZ:
-      return KernelClass::CtrlDiag1;
     case GateKind::CY:
     case GateKind::CH:
     case GateKind::CRX:
@@ -74,8 +70,6 @@ KernelClass classify_gate(const Gate& g) {
       return KernelClass::CtrlMatrix1;
     case GateKind::SWAP:
       return KernelClass::PermSwap;
-    case GateKind::RZZ:
-      return KernelClass::Diag2;
     case GateKind::ISWAP:
     case GateKind::RXX:
     case GateKind::RYY:
@@ -83,6 +77,10 @@ KernelClass classify_gate(const Gate& g) {
       return KernelClass::Matrix2;
     case GateKind::CSWAP:
       return KernelClass::MatrixK;
+    // RZZ is diag(e^-iθ/2, e^iθ/2, e^iθ/2, e^-iθ/2) and CRZ is one on its
+    // control-0 half: both are served as the diagonals they are.
+    case GateKind::RZZ:
+    case GateKind::CRZ:
     case GateKind::DIAG:
       return KernelClass::DiagK;
     case GateKind::UNITARY:
@@ -100,30 +98,118 @@ KernelClass unitary_class(unsigned k) {
   return KernelClass::MatrixK;
 }
 
-double kernel_price(KernelClass cls, unsigned counter_bits,
-                    unsigned counter_amps, double active) {
-  double multiplies = 1.0;
-  switch (cls) {
-    case KernelClass::Nop:
-      return 0.0;
+namespace {
+
+/// Entry i of the diagonal of a DiagK gate (qubits[0] = LSB of i), the
+/// value Gate::matrix() holds, computed without building the matrix.
+qc::cplx diagonal_entry(const Gate& g, std::uint64_t i) {
+  if (g.kind == GateKind::DIAG) return g.diagonal_entries()[i];
+  const qc::cplx em = std::polar(1.0, -g.params.at(0) / 2);
+  const qc::cplx ep = std::polar(1.0, g.params.at(0) / 2);
+  if (g.kind == GateKind::RZZ) return i == 0 || i == 3 ? em : ep;
+  SVSIM_ASSERT(g.kind == GateKind::CRZ);
+  if ((i & 1) == 0) return 1.0;  // control (qubits[0]) is 0
+  return (i & 2) != 0 ? ep : em;
+}
+
+/// Sets the share, select bits and patterns of a diagonal kernel that
+/// touches exactly the local indices i < 2^k where `kept(i)`.
+template <typename Kept>
+void set_kept_entries(KernelWork& w, const Gate& g, Kept&& kept) {
+  const unsigned k = g.num_qubits();
+  const std::uint64_t all = pow2(k) - 1;
+  std::uint64_t ones = all, zeros = all, skipped = 0;
+  for (std::uint64_t i = 0; i <= all; ++i) {
+    if (!kept(i)) {
+      ++skipped;
+      continue;
+    }
+    ones &= i;
+    zeros &= ~i;
+  }
+  w.active = 1.0 - static_cast<double>(skipped) / static_cast<double>(all + 1);
+  w.patterns = skipped <= all ? 1 : 0;
+  for (unsigned j = 0; j < k; ++j)
+    if (((ones | zeros) >> j & 1) != 0) w.select |= pow2(g.qubits[j]);
+}
+
+}  // namespace
+
+KernelWork dense_work(unsigned k) {
+  KernelWork w;
+  w.cls = unitary_class(k);
+  w.counter_bits = k;
+  w.counter_amps = static_cast<unsigned>(pow2(k));
+  w.multiplies = w.counter_amps;
+  return w;
+}
+
+KernelWork kernel_work(const Gate& g) {
+  KernelWork w;
+  w.cls = classify_gate(g);
+  if (w.cls == KernelClass::Nop || w.cls == KernelClass::Unsupported)
+    return w;
+  const unsigned k = g.num_qubits();
+  w.counter_bits = k;
+  w.counter_amps = 2;
+  w.multiplies = 1;
+  w.run_qubit = *std::min_element(g.qubits.begin(), g.qubits.end());
+  switch (w.cls) {
     case KernelClass::PermX:
     case KernelClass::PermY:
-    case KernelClass::PermSwap:
+      w.multiplies = 0;
+      break;
+    case KernelClass::Hadamard:
+      break;
     case KernelClass::Mcx:
-      multiplies = 0.0;
+    case KernelClass::CtrlMatrix1:
+      // Controls lead the operands, the one target is last.
+      for (unsigned i = 0; i + 1 < k; ++i) w.select |= pow2(g.qubits[i]);
+      w.run_qubit = g.qubits.back();
+      w.multiplies = w.cls == KernelClass::Mcx ? 0 : 2;
+      break;
+    case KernelClass::PermSwap:
+      w.select = pow2(g.qubits[0]) | pow2(g.qubits[1]);
+      w.patterns = 2;
+      w.multiplies = 0;
+      break;
+    case KernelClass::McPhase:
+      for (unsigned q : g.qubits) w.select |= pow2(q);
+      w.counter_amps = 1;
+      break;
+    case KernelClass::Diag1: {
+      // The kernel skips the |0> half of each pair when d0 is one (always
+      // for Z/S/T/P; for RZ only at angle zero).
+      const bool skip_d0 = g.kind != GateKind::RZ ||
+                           std::polar(1.0, -g.params.at(0) / 2) == 1.0;
+      set_kept_entries(w, g,
+                       [&](std::uint64_t i) { return i == 1 || !skip_d0; });
+      break;
+    }
+    case KernelClass::DiagK:
+      w.counter_bits = 0;
+      w.counter_amps = 1;
+      set_kept_entries(w, g, [&](std::uint64_t i) {
+        return diagonal_entry(g, i) != 1.0;
+      });
       break;
     case KernelClass::Matrix1:
-    case KernelClass::CtrlMatrix1:
     case KernelClass::Matrix2:
-    case KernelClass::MatrixK:
-      multiplies = counter_amps;
+    case KernelClass::MatrixK: {
+      const unsigned run = w.run_qubit;
+      w = dense_work(k);
+      w.run_qubit = run;
       break;
-    default:
-      break;
+    }
+    case KernelClass::Nop:
+    case KernelClass::Unsupported:
+      break;  // returned above
   }
-  const double touched =
-      counter_amps / static_cast<double>(pow2(counter_bits)) * active;
-  return touched * (multiplies + 1.0);
+  return w;
+}
+
+double kernel_price(const KernelWork& w) {
+  return w.touched_share() * (w.multiplies + 1.0);
 }
 
 namespace {
@@ -141,97 +227,56 @@ std::vector<std::complex<T>> cast_matrix(const qc::Matrix& u) {
 
 template <typename T>
 PreparedGate<T> prepare_gate(const Gate& g) {
-  PreparedGate<T> pg;
-  pg.cls = classify_gate(g);
-  pg.qubits = g.qubits;
-  require(pg.cls != KernelClass::Unsupported,
+  const KernelWork w = kernel_work(g);
+  require(w.cls != KernelClass::Unsupported,
           "prepare_gate: MEASURE/RESET have no unitary kernel");
+  PreparedGate<T> pg;
+  pg.cls = w.cls;
+  pg.counter_bits = w.counter_bits;
+  pg.counter_amps = w.counter_amps;
+  pg.qubits = g.qubits;
 
   // Sorted operand positions + masks (used by the gather-style kernels).
   pg.sorted = g.qubits;
   std::sort(pg.sorted.begin(), pg.sorted.end());
   for (unsigned q : g.qubits) pg.mask |= pow2(q);
-  for (unsigned c : g.controls()) pg.cmask |= pow2(c);
-  const auto targets = g.targets();
-  pg.target = targets.empty() ? 0 : targets[0];
+  const unsigned nc = g.num_controls();
+  for (unsigned i = 0; i < nc; ++i) pg.cmask |= pow2(g.qubits[i]);
+  pg.target = nc < g.qubits.size() ? g.qubits[nc] : 0;
 
-  // Counter space: the 1-target and gather classes skip every operand bit;
-  // the per-amplitude diagonal classes skip none.
-  const unsigned k = static_cast<unsigned>(pg.sorted.size());
-  pg.counter_bits = k;
-  pg.counter_amps = 2;
+  const unsigned k = g.num_qubits();
   switch (pg.cls) {
-    case KernelClass::Nop:
-      pg.counter_bits = 0;
-      pg.counter_amps = 0;
-      break;
-    case KernelClass::PermX:
-    case KernelClass::PermY:
-    case KernelClass::PermSwap:
-    case KernelClass::Mcx:
-    case KernelClass::Hadamard:
-      break;
     case KernelClass::Diag1: {
       const qc::Matrix u = g.matrix();
       pg.coeff = {detail::cast_c<T>(u(0, 0)), detail::cast_c<T>(u(1, 1))};
       break;
     }
-    case KernelClass::CtrlDiag1: {
-      const qc::Matrix u = g.target_matrix();
-      pg.coeff = {detail::cast_c<T>(u(0, 0)), detail::cast_c<T>(u(1, 1))};
-      break;
-    }
-    case KernelClass::McPhase: {
-      const qc::Matrix u = g.target_matrix();
-      pg.coeff = {detail::cast_c<T>(u(1, 1))};
-      pg.counter_amps = 1;
-      break;
-    }
-    case KernelClass::Matrix1:
-      pg.coeff = cast_matrix<T>(g.kind == GateKind::UNITARY
-                                    ? g.matrix_payload()
-                                    : g.matrix());
+    case KernelClass::McPhase:
+      pg.coeff = {detail::cast_c<T>(g.target_matrix()(1, 1))};
       break;
     case KernelClass::CtrlMatrix1:
       pg.coeff = cast_matrix<T>(g.target_matrix());
       break;
+    case KernelClass::DiagK:
+      pg.coeff.resize(pow2(k));
+      for (std::uint64_t i = 0; i < pg.coeff.size(); ++i)
+        pg.coeff[i] = detail::cast_c<T>(diagonal_entry(g, i));
+      break;
+    case KernelClass::Matrix1:
     case KernelClass::Matrix2:
-      pg.coeff = cast_matrix<T>(g.kind == GateKind::UNITARY
-                                    ? g.matrix_payload()
-                                    : g.matrix());
-      pg.counter_amps = 4;
-      break;
-    case KernelClass::Diag2: {
-      const qc::Matrix u = g.matrix();
-      pg.coeff = {detail::cast_c<T>(u(0, 0)), detail::cast_c<T>(u(1, 1)),
-                  detail::cast_c<T>(u(2, 2)), detail::cast_c<T>(u(3, 3))};
-      pg.counter_bits = 0;
-      pg.counter_amps = 1;
-      break;
-    }
-    case KernelClass::DiagK: {
-      const auto& d = g.diagonal_entries();
-      pg.coeff.resize(d.size());
-      for (std::size_t i = 0; i < d.size(); ++i)
-        pg.coeff[i] = detail::cast_c<T>(d[i]);
-      pg.counter_bits = 0;
-      pg.counter_amps = 1;
-      break;
-    }
-    case KernelClass::MatrixK: {
+    case KernelClass::MatrixK:
       require(k <= kMaxMatrixK, "prepare_gate: dense width too large");
       pg.coeff = cast_matrix<T>(g.kind == GateKind::UNITARY
                                     ? g.matrix_payload()
                                     : g.matrix());
-      const std::uint64_t sub = pow2(k);
-      pg.offs.resize(sub);
-      for (std::uint64_t s = 0; s < sub; ++s)
-        pg.offs[s] = scatter_bits(s, g.qubits);
-      pg.counter_amps = static_cast<unsigned>(sub);
+      if (pg.cls == KernelClass::MatrixK) {
+        pg.offs.resize(pow2(k));
+        for (std::uint64_t s = 0; s < pg.offs.size(); ++s)
+          pg.offs[s] = scatter_bits(s, g.qubits);
+      }
       break;
-    }
-    case KernelClass::Unsupported:
-      break;  // unreachable (require above)
+    default:
+      break;  // the permutations, Hadamard and Nop carry no coefficients
   }
   return pg;
 }

@@ -120,10 +120,8 @@ enum class KernelClass : std::uint8_t {
   Mcx,          ///< CX/CCX/MCX: controlled pair swap
   Hadamard,     ///< H: add/sub + scale
   Diag1,        ///< Z/S/T/P/RZ: diag(d0, d1)
-  CtrlDiag1,    ///< CRZ (controlled diagonal with d0 != 1)
   McPhase,      ///< CZ/CP/CCZ/MCP: one phased amplitude subset
-  Diag2,        ///< RZZ: 4-entry diagonal
-  DiagK,        ///< DIAG: 2^k-entry diagonal
+  DiagK,        ///< DIAG/RZZ/CRZ: 2^k-entry diagonal
   Matrix1,      ///< general 2x2
   CtrlMatrix1,  ///< CY/CH/CRX/CRY: controlled 2x2
   Matrix2,      ///< general (fused) 4x4
@@ -131,7 +129,7 @@ enum class KernelClass : std::uint8_t {
   Unsupported,  ///< MEASURE / RESET: not a unitary kernel
 };
 
-inline constexpr std::size_t kNumKernelClasses = 16;
+inline constexpr std::size_t kNumKernelClasses = 14;
 
 const char* kernel_class_name(KernelClass c);
 
@@ -139,6 +137,61 @@ const char* kernel_class_name(KernelClass c);
 /// (MEASURE/RESET as Unsupported). This is the single source of truth for
 /// which specialized kernel serves a gate.
 KernelClass classify_gate(const qc::Gate& g);
+
+/// Kernel class of a dense UNITARY payload on k qubits.
+KernelClass unitary_class(unsigned k);
+
+/// The work one application of a gate's kernel does on a whole state: the
+/// one record the kernel's counter space (prepare_gate), fusion's price
+/// (kernel_price) and the performance model (perf::gate_cost) read.
+struct KernelWork {
+  KernelClass cls = KernelClass::Nop;
+  /// Operand bits the counter space skips: a 2^n state has 2^(n -
+  /// counter_bits) counters (0 for the per-amplitude diagonal class).
+  unsigned counter_bits = 0;
+  /// Amplitudes one counter reads and writes (the pool's grain rule).
+  unsigned counter_amps = 0;
+  /// Share of the counted amplitudes the kernel does not skip: a DiagK
+  /// skips its entries that are exactly one, a Diag1 with d0 == 1 the |0>
+  /// half of each pair; 1 for every other class.
+  double active = 1.0;
+  /// Complex multiplies per touched amplitude: the row length counter_amps
+  /// of the dense classes, one for the diagonal and phase classes and
+  /// Hadamard, none for the permutations.
+  unsigned multiplies = 0;
+  /// State bits that select the touched amplitudes: each holds one value
+  /// within each of `patterns` operand patterns (the controls of Mcx and
+  /// CtrlMatrix1, every McPhase operand, the DiagK/Diag1 operand bits that
+  /// are constant over the entries not skipped, both PermSwap operands with
+  /// its 01 and 10 as two patterns). 0 patterns: nothing is touched.
+  std::uint64_t select = 0;
+  unsigned patterns = 1;
+  /// Qubit whose stride 2^q is the kernel's contiguous run, which sets its
+  /// SIMD efficiency: the target of a 1-target class, controlled or not;
+  /// the lowest operand of the others.
+  unsigned run_qubit = 0;
+
+  /// Touched amplitudes per state amplitude.
+  double touched_share() const {
+    return counter_amps / static_cast<double>(pow2(counter_bits)) * active;
+  }
+};
+
+/// The work record of `g`, built from the gate alone without allocating
+/// (a DIAG reads its payload; RZZ, CRZ and RZ compute their entries as
+/// Gate::matrix() does). MEASURE/RESET give the Unsupported class and no
+/// work.
+KernelWork kernel_work(const qc::Gate& g);
+
+/// The work record of a dense k-qubit unitary (unitary_class(k), every
+/// amplitude, 2^k multiplies each). It does not depend on the matrix.
+KernelWork dense_work(unsigned k);
+
+/// Work price of one application over a whole state, per state amplitude:
+/// the touched share times the complex multiplies per touched amplitude
+/// plus one for streaming it; Nop is free. Fusion keeps a merge only when
+/// it does not raise the summed price (sv/fusion.hpp).
+double kernel_price(const KernelWork& w);
 
 /// A gate resolved for application: kernel class, its counter space, and
 /// every coefficient pre-cast to the state precision, so applying it to a
@@ -149,47 +202,15 @@ struct PreparedGate {
   std::vector<unsigned> qubits;   ///< operands, gate order (qubits[0] = LSB)
   std::vector<unsigned> sorted;   ///< ascending operand bit positions
   unsigned target = 0;            ///< target qubit (1-target kernels)
-  /// Operand bits the counter space skips: a 2^n state has 2^(n -
-  /// counter_bits) counters (0 for the per-amplitude diagonal classes).
-  unsigned counter_bits = 0;
-  /// Amplitudes one counter reads and writes (the pool's grain rule).
-  unsigned counter_amps = 0;
+  unsigned counter_bits = 0;      ///< as KernelWork::counter_bits
+  unsigned counter_amps = 0;      ///< as KernelWork::counter_amps
   std::uint64_t cmask = 0;        ///< OR of control bits
   std::uint64_t mask = 0;         ///< OR of all operand bits (McPhase)
-  /// Class-dependent payload: Diag1/CtrlDiag1 {d0,d1}; McPhase {phase};
-  /// Matrix1/CtrlMatrix1 4; Diag2 4; Matrix2 16; DiagK 2^k; MatrixK 4^k.
+  /// Class-dependent payload: Diag1 {d0,d1}; McPhase {phase};
+  /// Matrix1/CtrlMatrix1 4; Matrix2 16; DiagK 2^k; MatrixK 4^k.
   std::vector<std::complex<T>> coeff;
   std::vector<std::uint64_t> offs;  ///< MatrixK sub-index scatter offsets
 };
-
-/// Kernel class of a dense UNITARY payload on k qubits.
-KernelClass unitary_class(unsigned k);
-
-/// Work price of one application of a class over a whole state, per state
-/// amplitude: the share of amplitudes it touches (counter_amps per 2^
-/// counter_bits, times the `active` share its kernel does not skip) times
-/// the complex multiplies per touched amplitude plus one for streaming it.
-/// The multiplies are the row length counter_amps for the dense classes,
-/// one for the diagonal and phase classes and Hadamard, and none for the
-/// permutations; Nop is free. Fusion keeps a merge only when it lowers the
-/// summed price (sv/fusion.hpp).
-double kernel_price(KernelClass cls, unsigned counter_bits,
-                    unsigned counter_amps, double active = 1.0);
-
-/// The price of a prepared gate. A DiagK kernel may skip the amplitudes
-/// whose coefficient is exactly one (a fused run of controlled phases is
-/// one on most of the state), so only the others count.
-template <typename T>
-double kernel_price(const PreparedGate<T>& pg) {
-  double active = 1.0;
-  if (pg.cls == KernelClass::DiagK) {
-    const auto ones = std::count(pg.coeff.begin(), pg.coeff.end(),
-                                 std::complex<T>{T{1}, T{0}});
-    active = 1.0 - static_cast<double>(ones) /
-                       static_cast<double>(pg.coeff.size());
-  }
-  return kernel_price(pg.cls, pg.counter_bits, pg.counter_amps, active);
-}
 
 /// MatrixK width limit: the entry's fixed stack scratch of 2^10 amplitudes.
 inline constexpr unsigned kMaxMatrixK = 10;
@@ -325,19 +346,6 @@ void k_ctrl_matrix1(std::complex<T>* psi, const PreparedGate<T>& pg,
   }
 }
 
-template <typename T>
-void k_ctrl_diag1(std::complex<T>* psi, const PreparedGate<T>& pg,
-                  std::uint64_t begin, std::uint64_t end) {
-  const std::complex<T> f0 = pg.coeff[0];
-  const std::complex<T> f1 = pg.coeff[1];
-  const std::uint64_t tbit = pow2(pg.target);
-  for (std::uint64_t c = begin; c < end; ++c) {
-    const std::uint64_t i0 = insert_zero_bits(c, pg.sorted) | pg.cmask;
-    psi[i0] *= f0;
-    psi[i0 | tbit] *= f1;
-  }
-}
-
 /// Multiplies the one amplitude subset where every operand (controls AND
 /// target — MCP is symmetric) is 1 by the phase.
 template <typename T>
@@ -372,17 +380,6 @@ void k_matrix2(std::complex<T>* psi, const PreparedGate<T>& pg,
     psi[i[1]] = m[4] * a0 + m[5] * a1 + m[6] * a2 + m[7] * a3;
     psi[i[2]] = m[8] * a0 + m[9] * a1 + m[10] * a2 + m[11] * a3;
     psi[i[3]] = m[12] * a0 + m[13] * a1 + m[14] * a2 + m[15] * a3;
-  }
-}
-
-template <typename T>
-void k_diag2(std::complex<T>* psi, const PreparedGate<T>& pg,
-             std::uint64_t begin, std::uint64_t end) {
-  const std::uint64_t m0 = pow2(pg.qubits[0]), m1 = pow2(pg.qubits[1]);
-  for (std::uint64_t i = begin; i < end; ++i) {
-    const unsigned s =
-        static_cast<unsigned>(((i & m1) != 0) * 2 + ((i & m0) != 0));
-    psi[i] *= pg.coeff[s];
   }
 }
 
@@ -434,12 +431,11 @@ template <typename T>
 inline const std::array<KernelFn<T>, kNumKernelClasses>& kernel_table() {
   namespace k = detail::kern;
   static const std::array<KernelFn<T>, kNumKernelClasses> table = {
-      &k::k_nop<T>,          &k::k_perm_x<T>,     &k::k_perm_y<T>,
-      &k::k_perm_swap<T>,    &k::k_mcx<T>,        &k::k_hadamard<T>,
-      &k::k_diag1<T>,        &k::k_ctrl_diag1<T>, &k::k_mc_phase<T>,
-      &k::k_diag2<T>,        &k::k_diag_k<T>,     &k::k_matrix1<T>,
-      &k::k_ctrl_matrix1<T>, &k::k_matrix2<T>,    &k::k_matrix_k<T>,
-      &k::k_unsupported<T>,
+      &k::k_nop<T>,        &k::k_perm_x<T>,       &k::k_perm_y<T>,
+      &k::k_perm_swap<T>,  &k::k_mcx<T>,          &k::k_hadamard<T>,
+      &k::k_diag1<T>,      &k::k_mc_phase<T>,     &k::k_diag_k<T>,
+      &k::k_matrix1<T>,    &k::k_ctrl_matrix1<T>, &k::k_matrix2<T>,
+      &k::k_matrix_k<T>,   &k::k_unsupported<T>,
   };
   return table;
 }

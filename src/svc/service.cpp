@@ -54,6 +54,11 @@ double host_memory_bytes() {
   return bytes;
 }
 
+/// Peak bytes per shot while a job reads out: the sampler's key, uniform
+/// and chunk-order index (StateVector::sample), then the key and its sorted
+/// copy (sv::count_keys).
+constexpr double kShotBytes = 24.0;
+
 sv::ExecutionPlan compile_for_service(const qc::Circuit& circuit,
                                       const sv::PlanOptions& po,
                                       unsigned ranks,
@@ -137,20 +142,24 @@ JobResult Service::execute(const JobRequest& request,
 
   // ---- Memory admission (before fingerprint and compile) ----------------
   // Every execution holds all 2^n amplitudes in this process, simulated
-  // distributed plans included; a state beyond physical memory would only
-  // fail in allocation after its plan was compiled and cached.
+  // distributed plans included, and the shots' buffers beside them; a job
+  // beyond physical memory would only fail in allocation after its plan
+  // was compiled and cached.
   const double state_gib =
       std::ldexp(2.0 * element_bytes,
                  static_cast<int>(request.circuit.num_qubits()) - 30);
+  const double shots_gib =
+      std::ldexp(static_cast<double>(request.shots) * kShotBytes, -30);
   const double memory_gib = std::ldexp(host_memory_bytes(), -30);
-  if (state_gib > memory_gib) {
+  if (state_gib + shots_gib > memory_gib) {
     result.ok = false;
     result.error_code = "admission_rejected";
-    char buf[160];
+    char buf[200];
     std::snprintf(buf, sizeof(buf),
-                  "the %s state needs %.3g GiB, above the host's %.3g GiB "
-                  "of physical memory",
-                  precision.c_str(), state_gib, memory_gib);
+                  "the %s state and %zu shots need %.3g GiB, above the "
+                  "host's %.3g GiB of physical memory",
+                  precision.c_str(), request.shots, state_gib + shots_gib,
+                  memory_gib);
     result.error_message = buf;
     result.total_seconds = seconds_since(job_start);
     return result;

@@ -48,7 +48,10 @@ struct ServiceOptions {
   std::uint64_t cache_bytes = 8ull << 20;
   /// Admission ceiling on the modeled compute time of one job
   /// (cost.compute_seconds x trajectory executions); 0 = admit everything.
-  double max_modeled_seconds = 0.0;
+  /// The default is about 10^4 x the largest job of the benchmark decks
+  /// (5.9 ms on the A64FX model), so a trajectory job with ~10^12 shots is
+  /// refused instead of running for days.
+  double max_modeled_seconds = 60.0;
   /// Target resident bytes of one trajectory batch's state vectors; the
   /// batch size is max(1, batch_bytes / state_bytes), capped by the shot
   /// count. A job allocates one batch and reuses it for every batch.

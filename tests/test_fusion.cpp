@@ -28,7 +28,7 @@ double circuit_equivalence_error(const Circuit& a, const Circuit& b) {
 double circuit_price(const Circuit& c) {
   double price = 0.0;
   for (const auto& g : c.gates())
-    if (g.is_unitary_op()) price += kernel_price(prepare_gate<double>(g));
+    if (g.is_unitary_op()) price += kernel_price(kernel_work(g));
   return price;
 }
 

@@ -1,5 +1,6 @@
-// The gather-class entries of every compiled backend: McPhase, DiagK and
-// MatrixK, and Matrix2 on the operands inside a vector (qubits 0 and 1),
+// The gather-class entries of every compiled backend: McPhase, DiagK (DIAG,
+// RZZ and CRZ) and MatrixK, and Matrix2 on the operands inside a vector
+// (qubits 0 and 1),
 // which f32 serves through the MatrixK lane path. For every operand
 // placement on a small state (qubit 0 and the
 // top qubit included) each entry must match the scalar reference table
@@ -7,8 +8,10 @@
 // be bit-identical however the counter range is cut: every head and tail
 // offset in [0, 8) against one whole-range call, and whole-state
 // applications on pools of 1, 2 and 4 threads. DiagK placements include
-// coefficients that are exactly one, which vector entries may skip.
-// Backends the binary lacks or the CPU cannot run are skipped.
+// coefficients that are exactly one, which vector entries may skip (CRZ is
+// one on its control-0 half). Random circuits of RZZ and CRZ also match the
+// dense oracle on each backend. Backends the binary lacks or the CPU cannot
+// run are skipped.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,10 +23,13 @@
 #include "common/bits.hpp"
 #include "common/rng.hpp"
 #include "common/threading.hpp"
+#include "qc/circuit.hpp"
+#include "qc/dense.hpp"
 #include "qc/gate.hpp"
 #include "qc/matrix.hpp"
 #include "sv/kernels.hpp"
 #include "sv/simd/simd.hpp"
+#include "sv/simulator.hpp"
 #include "sv/state_vector.hpp"
 
 namespace svsim::sv {
@@ -78,8 +84,11 @@ Gate random_diag(const std::vector<unsigned>& qs, bool ones, Xoshiro256& rng) {
 std::vector<Gate> gather_gates(unsigned n, std::uint64_t seed) {
   Xoshiro256 rng(seed);
   std::vector<Gate> gates;
-  for (const auto& qs : placements(n, 2, rng))
+  for (const auto& qs : placements(n, 2, rng)) {
     gates.push_back(Gate::cp(qs[0], qs[1], 0.3 + rng.uniform()));
+    gates.push_back(Gate::rzz(qs[0], qs[1], 0.2 + rng.uniform()));
+    gates.push_back(Gate::crz(qs[0], qs[1], 0.4 + rng.uniform()));
+  }
   for (const auto& qs : placements(n, 3, rng))
     gates.push_back(Gate::mcp({qs[0], qs[1]}, qs[2], 0.7 + rng.uniform()));
   for (unsigned k = 1; k <= 4; ++k)
@@ -171,6 +180,10 @@ void check_pool_sizes() {
       Gate::cp(0, top, 0.4),
       Gate::cp(1, 2, 0.9),
       Gate::mcp({0, 7}, top, 1.3),
+      Gate::rzz(0, top, 0.8),
+      Gate::rzz(9, 2, 1.7),
+      Gate::crz(top, 0, 0.6),
+      Gate::crz(1, 8, 2.1),
       random_diag({0, top}, true, rng),
       random_diag({2, 9, 4}, true, rng),
       random_diag({top, 1, 0, 8}, false, rng),
@@ -195,6 +208,39 @@ void check_pool_sizes() {
     }
   }
   EXPECT_GT(pool4.stats().parallel_regions, 0u);
+}
+
+/// Random circuits of RZZ and CRZ on every operand order, between layers of
+/// RX that keep the state dense, against the dense oracle: unblocked and in
+/// 2^4-amplitude blocks.
+template <typename T>
+void check_rzz_crz_circuits(double tol) {
+  constexpr unsigned kN = 7;
+  for (std::uint64_t seed : {1ull, 2ull, 3ull}) {
+    Xoshiro256 rng(seed);
+    qc::Circuit c(kN);
+    for (unsigned q = 0; q < kN; ++q) c.append(Gate::rx(q, 0.3 + q));
+    for (unsigned i = 0; i < 60; ++i) {
+      const unsigned a = static_cast<unsigned>(rng.uniform_int(kN));
+      const unsigned b =
+          (a + 1 + static_cast<unsigned>(rng.uniform_int(kN - 1))) % kN;
+      const double theta = 6.28 * rng.uniform();
+      c.append(i % 2 == 0 ? Gate::rzz(a, b, theta) : Gate::crz(a, b, theta));
+      if (i % 6 == 5) c.append(Gate::rx(a, theta));
+    }
+    const auto want = qc::dense::run(c);
+    SimulatorOptions blocked;
+    blocked.blocking = true;
+    blocked.block_qubits = 4;
+    for (const SimulatorOptions& opts : {SimulatorOptions{}, blocked}) {
+      Simulator<T> sim(opts);
+      const auto got = sim.run(c).to_vector();
+      double dist = 0.0;
+      for (std::size_t i = 0; i < want.size(); ++i)
+        dist = std::max(dist, std::abs(got[i] - want[i]));
+      EXPECT_LE(dist, tol) << "seed " << seed << " blocked " << opts.blocking;
+    }
+  }
 }
 
 class GatherKernels : public ::testing::TestWithParam<simd::Isa> {
@@ -231,6 +277,14 @@ TEST_P(GatherKernels, Matrix2OnLowQubitsIgnoresRangeCutsF32) {
 }
 
 TEST_P(GatherKernels, PoolSizesAreBitIdenticalF64) { check_pool_sizes<double>(); }
+
+TEST_P(GatherKernels, RzzAndCrzCircuitsMatchDenseF64) {
+  check_rzz_crz_circuits<double>(1e-13);
+}
+
+TEST_P(GatherKernels, RzzAndCrzCircuitsMatchDenseF32) {
+  check_rzz_crz_circuits<float>(1e-5);
+}
 
 TEST_P(GatherKernels, PoolSizesAreBitIdenticalF32) { check_pool_sizes<float>(); }
 

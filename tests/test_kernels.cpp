@@ -297,13 +297,13 @@ TEST(BlockKernels, ClassifyGateCoversEveryKind) {
       {Gate::cp(0, 1, 0.2), KernelClass::McPhase},
       {Gate::ccz(0, 1, 2), KernelClass::McPhase},
       {Gate::mcp({0, 1}, 2, 0.4), KernelClass::McPhase},
-      {Gate::crz(0, 1, 0.3), KernelClass::CtrlDiag1},
+      {Gate::crz(0, 1, 0.3), KernelClass::DiagK},
       {Gate::cy(0, 1), KernelClass::CtrlMatrix1},
       {Gate::ch(0, 1), KernelClass::CtrlMatrix1},
       {Gate::crx(0, 1, 0.3), KernelClass::CtrlMatrix1},
       {Gate::cry(0, 1, 0.3), KernelClass::CtrlMatrix1},
       {Gate::swap(0, 1), KernelClass::PermSwap},
-      {Gate::rzz(0, 1, 0.4), KernelClass::Diag2},
+      {Gate::rzz(0, 1, 0.4), KernelClass::DiagK},
       {Gate::iswap(0, 1), KernelClass::Matrix2},
       {Gate::rxx(0, 1, 0.4), KernelClass::Matrix2},
       {Gate::cswap(0, 1, 2), KernelClass::MatrixK},
@@ -399,7 +399,7 @@ TEST(BlockKernels, CounterSpaceOfEachClass) {
   } cases[] = {
       {Gate::h(3), 1, 2},           {Gate::x(0), 1, 2},
       {Gate::rz(2, 0.3), 1, 2},     {Gate::cx(0, 4), 2, 2},
-      {Gate::ccx(1, 2, 3), 3, 2},   {Gate::crz(0, 1, 0.2), 2, 2},
+      {Gate::ccx(1, 2, 3), 3, 2},   {Gate::crz(0, 1, 0.2), 0, 1},
       {Gate::ccz(0, 1, 2), 3, 1},   {Gate::swap(1, 5), 2, 2},
       {Gate::rxx(0, 1, 0.3), 2, 4}, {Gate::rzz(0, 1, 0.4), 0, 1},
       {Gate::diag({0, 2}, {1.0, 1.0, 1.0, -1.0}), 0, 1},

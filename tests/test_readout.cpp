@@ -132,6 +132,90 @@ TEST(Readout, SamplerMatchesChunkSearchF32) {
   check_sampler_matches_reference<float>();
 }
 
+/// The seed whose Xoshiro256 draws `u` first. The first output depends only
+/// on the second state word, which is splitmix64 of seed + 2 * 0x9e37...;
+/// the output function and splitmix64 both invert, so a chosen uniform
+/// (any multiple of 2^-53 in [0, 1)) maps back to its seed.
+std::uint64_t seed_for_first_uniform(double u) {
+  const std::uint64_t out = static_cast<std::uint64_t>(std::ldexp(u, 53))
+                            << 11;
+  const auto inverse = [](std::uint64_t a) {  // of odd a, mod 2^64
+    std::uint64_t x = a;
+    for (int i = 0; i < 6; ++i) x *= 2 - a * x;
+    return x;
+  };
+  const auto unxorshift = [](std::uint64_t y, unsigned s) {
+    std::uint64_t x = y;
+    for (unsigned i = 0; i <= 64 / s; ++i) x = y ^ (x >> s);
+    return x;
+  };
+  // out = rotl(s1 * 5, 7) * 9.
+  const std::uint64_t r = out * inverse(9);
+  const std::uint64_t s1 = ((r >> 7) | (r << 57)) * inverse(5);
+  // s1 = splitmix64's mix of x = seed + 2 * gamma.
+  std::uint64_t z = unxorshift(s1, 31) * inverse(0x94d049bb133111ebull);
+  z = unxorshift(z, 27) * inverse(0xbf58476d1ce4e5b9ull);
+  return unxorshift(z, 30) - 2 * 0x9e3779b97f4a7c15ull;
+}
+
+/// Uniforms that land exactly on the running sums the sampler compares
+/// against. Every probability is a power of two, so every chunk sum and
+/// running sum is exact and the total is exactly one (r == u):
+///  * chunks 0..2047 each hold one amplitude 2^-7 (probability 2^-14, a
+///    quarter of a guide bucket) at position k % 4, so four chunk
+///    boundaries share each bucket and the walk from the bucket's guide
+///    entry takes zero to three steps up before it meets a boundary;
+///  * chunk 2500 holds (0.5, 0, 0.25, 0), chunk 3000 (0, 0.5, 0, 0) and
+///    chunk 3500 (0.25, 0, 0, 0.5); the chunks between are zero, so the
+///    running sums stand on plateaus.
+/// The sampler must return the first amplitude whose running sum exceeds
+/// r. A `<` where the walk or the in-chunk count has `<=` stops one chunk or
+/// one amplitude early, on an amplitude of probability zero.
+template <typename T>
+void check_sampler_on_exact_boundaries() {
+  ThreadPool pool(2);
+  sv::StateVector<T> state(14, &pool);
+  std::vector<std::complex<double>> amps(state.size());
+  for (std::uint64_t k = 0; k < 2048; ++k) amps[4 * k + k % 4] = 0x1p-7;
+  amps[4 * 2500] = 0.5;
+  amps[4 * 2500 + 2] = 0.25;
+  amps[4 * 3000 + 1] = 0.5;
+  amps[4 * 3500] = 0.25;
+  amps[4 * 3500 + 3] = 0.5;
+  state.set_state(amps);
+  const struct {
+    double u;
+    std::uint64_t want;
+  } cases[] = {
+      {0.0, 0},                  // the first running sum
+      {5 * 0x1p-14, 4 * 5 + 1},  // one step up from the guide entry
+      {6 * 0x1p-14, 4 * 6 + 2},  // two steps
+      {7 * 0x1p-14, 4 * 7 + 3},  // three: the walk's loop meets it
+      {2047 * 0x1p-14, 4 * 2047 + 3},
+      {0.125, 4 * 2500},              // the end of a zero plateau
+      {0.125 + 0.25, 4 * 2500 + 2},   // inside chunk 2500, then a zero
+      {0.4375, 4 * 3000 + 1},         // a plateau that ends on a bucket
+      {0.6875 + 0.0625, 4 * 3500 + 3},  // inside chunk 3500, two zeros
+  };
+  for (const auto& c : cases) {
+    const std::uint64_t seed = seed_for_first_uniform(c.u);
+    ASSERT_EQ(Xoshiro256(seed).uniform(), c.u);
+    Xoshiro256 mine(seed), theirs(seed);
+    const auto got = state.sample(1, mine);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0], c.want) << "u=" << c.u;
+    EXPECT_EQ(got, reference_sample(state, 1, theirs)) << "u=" << c.u;
+  }
+}
+
+TEST(Readout, SamplerBreaksExactTiesUpwardF64) {
+  check_sampler_on_exact_boundaries<double>();
+}
+
+TEST(Readout, SamplerBreaksExactTiesUpwardF32) {
+  check_sampler_on_exact_boundaries<float>();
+}
+
 // ---- Counting ---------------------------------------------------------------
 
 TEST(Readout, CountKeysMatchesMapHistogram) {

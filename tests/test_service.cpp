@@ -552,7 +552,8 @@ TEST(Service, AdmissionRejectsOverCostJob) {
   EXPECT_TRUE(retry.cache_hit);
 
   // A state beyond the host's physical memory (2^50 amplitudes) is refused
-  // before fingerprint and compile, with no ceiling set: nothing is cached.
+  // before fingerprint and compile, under the default ceiling: nothing is
+  // cached.
   svc::Service unlimited{svc::ServiceOptions{}};
   std::istringstream in(R"({"id":"huge","qft":50,"shots":1})" "\n");
   std::ostringstream out;
@@ -562,6 +563,42 @@ TEST(Service, AdmissionRejectsOverCostJob) {
   EXPECT_EQ(unlimited.cache().misses(), 0u);
   EXPECT_EQ(unlimited.cache().size(), 0u);
   EXPECT_NE(out.str().find("admission_rejected"), std::string::npos);
+}
+
+TEST(Service, AdmissionCountsShotBuffersWithTheState) {
+  // 10^12 shots of a 16-amplitude state need about 22 TiB of readout
+  // buffers (24 B a shot): refused before fingerprint and compile, and
+  // before the sampler allocates anything.
+  svc::Service service{svc::ServiceOptions{}};
+  std::istringstream in(
+      R"({"id":"many","qft":4,"shots":1000000000000})" "\n");
+  std::ostringstream out;
+  const svc::ServeStats stats = svc::serve_session(in, out, service);
+  EXPECT_EQ(stats.errors, 1u);
+  EXPECT_EQ(service.jobs_rejected(), 1u);
+  EXPECT_EQ(service.cache().misses(), 0u);
+  EXPECT_NE(out.str().find("admission_rejected"), std::string::npos);
+  EXPECT_NE(out.str().find("1000000000000 shots"), std::string::npos);
+  // A sampled job of the same state with a modest shot count still runs.
+  EXPECT_TRUE(service.run_job(qft_job("few", 4, 1024, 1)).ok);
+}
+
+TEST(Service, DefaultCeilingRefusesAHugeTrajectoryJob) {
+  // The largest job of the benchmark decks models 5.9 ms; the default
+  // ceiling keeps three orders of magnitude above it.
+  const svc::ServiceOptions defaults;
+  EXPECT_GE(defaults.max_modeled_seconds, 1000 * 5.9e-3);
+  // 10^7 noisy n=10 trajectories fit in memory but model about 460 s: the
+  // default ceiling refuses them instead of running them.
+  svc::Service service{defaults};
+  const auto result = service.run_job(svc::parse_job_line(
+      R"({"id":"long","qv":[10,4,9],"shots":10000000,)"
+      R"("noise":{"depolarizing":0.01}})"));
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error_code, "admission_rejected");
+  EXPECT_EQ(result.modeled_limit_seconds, defaults.max_modeled_seconds);
+  EXPECT_GT(result.modeled_seconds, defaults.max_modeled_seconds);
+  EXPECT_NE(result.error_message.find("admission ceiling"), std::string::npos);
 }
 
 TEST(Service, TrajectoryBatchingMatchesPerShotStatistics) {

@@ -83,9 +83,9 @@ std::vector<Gate> representative_gates(unsigned n, Xoshiro256& rng) {
       Gate::h(q2[0]),                       // Hadamard
       Gate::rz(q2[1], 0.7),                 // Diag1
       Gate::s(q2[0]),                       // Diag1 (skip_lower path)
-      Gate::crz(q2[0], q2[1], 0.6),         // CtrlDiag1
+      Gate::crz(q2[0], q2[1], 0.6),         // DiagK
       Gate::cp(q2[0], q2[1], 0.5),          // McPhase
-      Gate::rzz(q2[0], q2[1], 0.8),         // Diag2
+      Gate::rzz(q2[0], q2[1], 0.8),         // DiagK
       Gate::u(q2[0], 0.3, 0.7, 1.9),        // Matrix1
       Gate::cry(q2[0], q2[1], 0.4),         // CtrlMatrix1
       Gate::rxx(q2[0], q2[1], 0.3),         // Matrix2

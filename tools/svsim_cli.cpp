@@ -135,7 +135,8 @@ constexpr OptionSpec kOptionSpecs[] = {
     {"out", true, false, "write result lines to FILE instead of stdout (serve)"},
     {"cache-bytes", true, false, "plan-cache byte budget (serve)"},
     {"max-seconds", true, false,
-     "admission ceiling on modeled compute seconds per job (serve)"},
+     "admission ceiling on modeled compute seconds per job, default 60, 0 "
+     "admits everything (serve)"},
 };
 
 const OptionSpec* find_option(const std::string& name) {
